@@ -19,7 +19,8 @@ class Rng {
   /// by the xoshiro authors.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  /// Next raw 64-bit value.
+  /// Next raw 64-bit value. Defined inline below: per-element callers
+  /// (dropout masks) draw one value per tensor element.
   uint64_t Next();
 
   /// Uniform double in [0, 1).
@@ -67,6 +68,21 @@ class Rng {
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
+
+inline uint64_t Rng::Next() {
+  const auto rotl = [](uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  };
+  const uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
+}
 
 }  // namespace serd
 

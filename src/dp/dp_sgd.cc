@@ -1,5 +1,6 @@
 #include "dp/dp_sgd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -8,77 +9,82 @@ namespace serd {
 
 PerExampleGradAccumulator::PerExampleGradAccumulator(
     std::vector<nn::TensorPtr> params, DpSgdConfig config)
-    : params_(std::move(params)), config_(config) {
+    : params_(std::move(params)), config_(config), single_(1) {
   SERD_CHECK(!params_.empty());
   SERD_CHECK_GT(config_.clip_norm, 0.0);
   SERD_CHECK_GE(config_.noise_multiplier, 0.0);
-  sum_.reserve(params_.size());
-  for (const auto& p : params_) sum_.emplace_back(p->size(), 0.0f);
+  for (const auto& p : params_) total_size_ += p->size();
+  sum_.assign(total_size_, 0.0f);
 }
 
 void PerExampleGradAccumulator::BeginBatch() {
-  for (auto& s : sum_) std::fill(s.begin(), s.end(), 0.0f);
+  std::fill(sum_.begin(), sum_.end(), 0.0f);
 }
 
 double PerExampleGradAccumulator::AccumulateExample() {
-  double norm_sq = 0.0;
-  for (const auto& p : params_) {
-    for (float g : p->grad()) norm_sq += static_cast<double>(g) * g;
-  }
-  double norm = std::sqrt(norm_sq);
-  double scale = 1.0;
-  if (config_.enabled) {
-    // Alg. 1 line 8: divide by max(1, ||g||_2 / V).
-    scale = 1.0 / std::max(1.0, norm / config_.clip_norm);
-  }
-  for (size_t pi = 0; pi < params_.size(); ++pi) {
-    const auto& g = params_[pi]->grad();
-    auto& s = sum_[pi];
-    for (size_t i = 0; i < g.size(); ++i) {
-      s[i] += static_cast<float>(g[i] * scale);
-    }
-    params_[pi]->ZeroGrad();
-  }
+  TakeGradient(params_, &single_[0]);
+  double norm = 0.0;
+  ClipAndMerge(single_, 1, &norm);
   return norm;
 }
 
-double PerExampleGradAccumulator::ClipInto(
+void PerExampleGradAccumulator::TakeGradient(
     const std::vector<nn::TensorPtr>& replica_params,
-    ClippedGrad* out) const {
+    ExampleGrad* out) const {
   SERD_CHECK(out != nullptr);
   SERD_CHECK_EQ(replica_params.size(), params_.size());
-  out->resize(replica_params.size());
-  double norm_sq = 0.0;
+  out->resize(total_size_);
+  float* o = out->data();
   for (const auto& p : replica_params) {
-    for (float g : p->grad()) norm_sq += static_cast<double>(g) * g;
-  }
-  double norm = std::sqrt(norm_sq);
-  double scale = 1.0;
-  if (config_.enabled) {
-    scale = 1.0 / std::max(1.0, norm / config_.clip_norm);
-  }
-  for (size_t pi = 0; pi < replica_params.size(); ++pi) {
     // A parameter untouched by this example's graph may have no grad
-    // buffer; record it as an empty (all-zero) contribution.
-    const auto& g = replica_params[pi]->grad();
-    auto& o = (*out)[pi];
-    o.resize(g.size());
-    for (size_t i = 0; i < g.size(); ++i) {
-      o[i] = static_cast<float>(g[i] * scale);
+    // buffer; it contributes zeros.
+    auto& g = p->grad();
+    if (g.empty()) {
+      std::fill(o, o + p->size(), 0.0f);
+    } else {
+      SERD_CHECK_EQ(g.size(), p->size());
+      std::copy(g.begin(), g.end(), o);
+      std::fill(g.begin(), g.end(), 0.0f);
     }
-    replica_params[pi]->ZeroGrad();
+    o += p->size();
   }
-  return norm;
 }
 
-void PerExampleGradAccumulator::MergeClipped(const ClippedGrad& clipped) {
-  SERD_CHECK_EQ(clipped.size(), sum_.size());
-  for (size_t pi = 0; pi < sum_.size(); ++pi) {
-    auto& s = sum_[pi];
-    const auto& c = clipped[pi];
-    if (c.empty()) continue;
-    SERD_CHECK_EQ(c.size(), s.size());
-    for (size_t i = 0; i < s.size(); ++i) s[i] += c[i];
+void PerExampleGradAccumulator::ClipAndMerge(
+    const std::vector<ExampleGrad>& grads, size_t count, double* norms) {
+  SERD_CHECK_LE(count, grads.size());
+  SERD_CHECK(norms != nullptr || count == 0);
+  // Each norm is one sequential double chain in parameter order, so it
+  // (and every clipped value) is fixed by the gradient alone. A single
+  // chain is bound by add latency; up to kLanes examples' chains advance
+  // together so the adds overlap.
+  constexpr size_t kLanes = 8;
+  for (size_t k0 = 0; k0 < count; k0 += kLanes) {
+    const size_t lanes = std::min(kLanes, count - k0);
+    const float* g[kLanes] = {};
+    for (size_t l = 0; l < lanes; ++l) {
+      SERD_CHECK_EQ(grads[k0 + l].size(), total_size_);
+      g[l] = grads[k0 + l].data();
+    }
+    double norm_sq[kLanes] = {};
+    for (size_t i = 0; i < total_size_; ++i) {
+      for (size_t l = 0; l < lanes; ++l) {
+        norm_sq[l] += static_cast<double>(g[l][i]) * g[l][i];
+      }
+    }
+    // Ordered merge of the clipped gradients: Alg. 1 line 8 divides by
+    // max(1, ||g||_2 / V), then the batch sum adds examples in order.
+    float* s = sum_.data();
+    for (size_t l = 0; l < lanes; ++l) {
+      const double norm = std::sqrt(norm_sq[l]);
+      norms[k0 + l] = norm;
+      const double scale =
+          config_.enabled ? 1.0 / std::max(1.0, norm / config_.clip_norm)
+                          : 1.0;
+      for (size_t i = 0; i < total_size_; ++i) {
+        s[i] += static_cast<float>(g[l][i] * scale);
+      }
+    }
   }
 }
 
@@ -88,14 +94,15 @@ void PerExampleGradAccumulator::FinishBatch(size_t batch_size, Rng* rng) {
   const double noise_std =
       config_.enabled ? config_.noise_multiplier * config_.clip_norm : 0.0;
   const float inv_j = 1.0f / static_cast<float>(batch_size);
-  for (size_t pi = 0; pi < params_.size(); ++pi) {
-    auto& g = params_[pi]->grad();
-    const auto& s = sum_[pi];
+  const float* s = sum_.data();
+  for (const auto& p : params_) {
+    auto& g = p->grad();
     for (size_t i = 0; i < g.size(); ++i) {
       double noisy = s[i];
       if (noise_std > 0.0) noisy += rng->Gaussian(0.0, noise_std);
       g[i] = static_cast<float>(noisy * inv_j);
     }
+    s += p->size();
   }
 }
 

@@ -39,21 +39,25 @@ class PerExampleGradAccumulator {
   /// example starts clean. Returns the example's pre-clip gradient norm.
   double AccumulateExample();
 
-  /// Per-example clipped gradient, parallel to the parameter list.
-  using ClippedGrad = std::vector<std::vector<float>>;
+  /// One example's raw gradient: every parameter's gradient flattened
+  /// into one buffer, in parameter order. Callers keep one per example of
+  /// a batch and reuse them across batches.
+  using ExampleGrad = std::vector<float>;
 
-  /// Parallel-training variant of AccumulateExample, split so worker
-  /// threads can clip concurrently while the batch sum stays ordered:
-  /// clips the gradients stored in `replica_params` (a value-identical
-  /// copy of the trained model's parameters) into `out` and zeroes them.
-  /// Returns the pre-clip norm. Touches no accumulator state.
-  double ClipInto(const std::vector<nn::TensorPtr>& replica_params,
-                  ClippedGrad* out) const;
+  /// Parallel-training half of AccumulateExample: moves the gradients
+  /// stored in `replica_params` (a value-identical copy of the trained
+  /// model's parameters) into `out` and zeroes them in the same pass.
+  /// Touches no accumulator state, so worker threads may call it
+  /// concurrently for distinct replicas and outputs.
+  void TakeGradient(const std::vector<nn::TensorPtr>& replica_params,
+                    ExampleGrad* out) const;
 
-  /// Adds one clipped per-example gradient into the batch sum. Callers
-  /// merge examples in ascending example order so the floating-point sum
-  /// is independent of which thread produced each gradient.
-  void MergeClipped(const ClippedGrad& clipped);
+  /// The other half: clips grads[0..count) (Alg. 1 line 8, each by its
+  /// own pre-clip norm) and adds them to the batch sum in index order, so
+  /// the sum does not depend on which thread produced which gradient.
+  /// Writes the pre-clip norms to norms[0..count).
+  void ClipAndMerge(const std::vector<ExampleGrad>& grads, size_t count,
+                    double* norms);
 
   /// Adds Gaussian noise (if enabled), divides by `batch_size`, and writes
   /// the result back into the parameters' grad buffers.
@@ -64,7 +68,9 @@ class PerExampleGradAccumulator {
  private:
   std::vector<nn::TensorPtr> params_;
   DpSgdConfig config_;
-  std::vector<std::vector<float>> sum_;  // parallel to params_
+  size_t total_size_ = 0;   // sum of the parameters' element counts
+  std::vector<float> sum_;  // flattened in parameter order
+  std::vector<ExampleGrad> single_;  // AccumulateExample's one slot
 };
 
 }  // namespace serd

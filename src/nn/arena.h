@@ -14,9 +14,15 @@ namespace serd::nn {
 /// iteration; without an arena each op pays two heap allocations (value +
 /// grad vector) that die with the tape. The arena keeps every tensor it
 /// has handed out and a cursor: Allocate() returns the next pooled tensor
-/// (reshaped and zeroed, capacity retained) and Reset() just rewinds the
-/// cursor, so after the first step a forward/backward pass performs no
-/// heap allocation at all in steady state.
+/// (reshaped, capacity retained) and Reset() just rewinds the cursor, so
+/// after the first step a forward/backward pass performs no heap
+/// allocation at all in steady state.
+///
+/// Zeroing rule: grad buffers are always handed out zeroed (backward
+/// accumulates into them with +=), value buffers never are. Every tape op
+/// overwrites its whole result, so zeroing values would be wasted work; a
+/// recycled tensor's value holds stale data from an earlier shape, and
+/// any caller that allocates directly must write every element.
 ///
 /// Lifetime rules (see DESIGN.md "Kernel layer"):
 ///  - Reset() may only be called when the tape that allocated from the
@@ -33,8 +39,14 @@ class TensorArena {
   TensorArena(const TensorArena&) = delete;
   TensorArena& operator=(const TensorArena&) = delete;
 
-  /// Returns a rows x cols tensor with zeroed value and grad buffers.
+  /// Returns a rows x cols tensor with a zeroed grad buffer and an
+  /// unspecified value buffer (see the zeroing rule above).
   TensorPtr Allocate(size_t rows, size_t cols);
+
+  /// Like Allocate but without a grad buffer: forward-pass caches an op
+  /// keeps for its own backward (LayerNorm's normalized rows, GELU's
+  /// tanh, dropout masks) never receive gradient.
+  TensorPtr Scratch(size_t rows, size_t cols);
 
   /// Rewinds the arena; every pooled tensor becomes reusable.
   void Reset() { cursor_ = 0; }

@@ -202,14 +202,71 @@ void SoftmaxRows(std::size_t rows, std::size_t cols, const float* x,
   }
 }
 
-void Gelu(std::size_t n, const float* x, float* out) {
+// Gelu is the one kernel whose results must not depend on the build's
+// instruction set: compiled with -march=native (SERD_NATIVE) GCC would
+// otherwise contract its multiply-adds into FMAs, which round differently
+// from the baseline build. fp-contract=off pins the rounding;
+// no-trapping-math only lets the clamp's compare-selects be if-converted
+// so the loop vectorizes (no trap is ever enabled), and changes no value.
+#if defined(__GNUC__) && !defined(__clang__)
+#define SERD_GELU_FP_EXACT \
+  __attribute__((optimize("fp-contract=off", "no-trapping-math")))
+#else
+#define SERD_GELU_FP_EXACT
+#endif
+
+SERD_GELU_FP_EXACT void Gelu(std::size_t n, const float* x, float* out,
+                             float* tanh_u) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
   constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
-  for (std::size_t i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float t = std::tanh(kC * (v + 0.044715f * v * v * v));
-    out[i] = 0.5f * v * (1.0f + t);
+  // tanh(u) ~= u * P(u^2) / Q(u^2), a relative-error minimax rational fit
+  // on |u| <= 9 (max relative error 6e-8 in exact arithmetic). Past the
+  // clamp tanh(9) = 1 - 3e-8 already rounds to 1.0f, and saturated inputs
+  // give exactly +-1. Against a double-precision GELU the float result
+  // stays within 1e-6 absolute on [-12, 12] (kernels_test bounds it at
+  // 2e-6).
+  constexpr float kClamp = 9.0f;
+  constexpr float kP0 = 0.99999994f;
+  constexpr float kP1 = 0.129192382f;
+  constexpr float kP2 = 0.00292076916f;
+  constexpr float kP3 = 9.26742996e-06f;
+  constexpr float kP4 = -1.27802764e-08f;
+  constexpr float kP5 = 1.82543789e-11f;
+  constexpr float kQ1 = 0.462525219f;
+  constexpr float kQ2 = 0.0237632077f;
+  constexpr float kQ3 = 0.000228100806f;
+  // Blocks so the loop body has no branch (it always stores tanh(u),
+  // into the caller's buffer or this scratch) and auto-vectorizes.
+  constexpr std::size_t kBlock = 256;
+  float scratch[kBlock];
+  for (std::size_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::size_t len = n - i0 < kBlock ? n - i0 : kBlock;
+    const float* xb = x + i0;
+    float* ob = out + i0;
+    float* tb = tanh_u != nullptr ? tanh_u + i0 : scratch;
+    for (std::size_t i = 0; i < len; ++i) {
+      const float v = xb[i];
+      float u = kC * (v + 0.044715f * v * v * v);
+      u = u < -kClamp ? -kClamp : u;
+      u = u > kClamp ? kClamp : u;
+      const float s = u * u;
+      const float p =
+          ((((kP5 * s + kP4) * s + kP3) * s + kP2) * s + kP1) * s + kP0;
+      const float q = ((kQ3 * s + kQ2) * s + kQ1) * s + 1.0f;
+      // Rounding can leave the quotient an ulp past +-1 near the clamp;
+      // keep |tanh| <= 1 so GELU never changes sign.
+      float t = u * p / q;
+      t = t > 1.0f ? 1.0f : t;
+      t = t < -1.0f ? -1.0f : t;
+      tb[i] = t;
+      ob[i] = 0.5f * v * (1.0f + t);
+    }
   }
 }
+
+#undef SERD_GELU_FP_EXACT
 
 void LayerNormRows(std::size_t rows, std::size_t cols, const float* x,
                    const float* gamma, const float* beta, float eps,

@@ -7,10 +7,10 @@ namespace serd::nn::kernels {
 
 /// Single-thread float kernels behind the autograd tape (tape.cc) and the
 /// model forward passes. All matrices are dense row-major. The GEMM family
-/// is cache-blocked and register-tiled: A and B are packed into
-/// contiguous panels (MR-row and NR-column respectively) so the inner
-/// micro-kernel runs on unit-stride data with an MR x NR accumulator
-/// block that lives in registers across the whole K extent. The loop nest
+/// is cache-blocked and register-tiled: the micro-kernel keeps an MR x NR
+/// accumulator block in registers across the whole K extent, reading full
+/// MR-row panels of A and full NR-column panels of a unit-stride B in
+/// place and zero-padded packed copies of the edge panels. The loop nest
 /// and blocking constants are fixed, so results are bit-identical from
 /// run to run and independent of the caller's thread count (each call is
 /// single-threaded; concurrency happens one model replica per thread
@@ -82,10 +82,14 @@ void BiasRelu(std::size_t rows, std::size_t cols, const float* x,
 void SoftmaxRows(std::size_t rows, std::size_t cols, const float* x,
                  const float* add_mask, float* out);
 
-/// out[i] = 0.5 * x[i] * (1 + tanh(sqrt(2/pi) * (x[i] + 0.044715 x[i]^3))).
-/// The single tanh-GELU definition shared by the tape forward op and the
-/// incremental decode path, so both round identically. In-place safe.
-void Gelu(std::size_t n, const float* x, float* out);
+/// out[i] = 0.5 * x[i] * (1 + tanh(u)), u = sqrt(2/pi) * (x[i] + 0.044715
+/// x[i]^3), with tanh a clamped rational approximation (within 1e-6 of
+/// the exact GELU on [-12, 12]; DESIGN.md "Kernel layer"). The single
+/// GELU definition shared by the tape op and the incremental/lockstep
+/// decode paths, so all of them round identically, and its results do not
+/// depend on the build's ISA. If `tanh_u` is non-null it receives tanh(u)
+/// per element (the tape's backward needs it). In-place safe (out == x).
+void Gelu(std::size_t n, const float* x, float* out, float* tanh_u);
 
 /// Row-wise layer norm with learned gain/bias (each length `cols`).
 /// Writes the normalized values to `xhat` and 1/std to `inv_std` (length

@@ -15,6 +15,11 @@ TensorPtr Tape::NewResult(size_t rows, size_t cols) {
   return t;
 }
 
+TensorPtr Tape::NewScratch(size_t rows, size_t cols) {
+  if (arena_ != nullptr) return arena_->Scratch(rows, cols);
+  return MakeTensor(rows, cols);
+}
+
 void Tape::Record(std::function<void()> backward_fn) {
   if (!recording_) return;
   nodes_.push_back(std::move(backward_fn));
@@ -182,11 +187,11 @@ TensorPtr Tape::LayerNorm(const TensorPtr& x, const TensorPtr& gamma,
     return out;
   }
   // Cache per-row inv-std and the normalized values for backward.
-  auto xhat = std::make_shared<std::vector<float>>(x->size());
-  auto inv_std = std::make_shared<std::vector<float>>(x->rows());
+  auto xhat = NewScratch(x->rows(), n);
+  auto inv_std = NewScratch(x->rows(), 1);
   k::LayerNormRows(x->rows(), n, x->value().data(), gamma->value().data(),
                    beta->value().data(), eps, out->value().data(),
-                   xhat->data(), inv_std->data());
+                   xhat->value().data(), inv_std->value().data());
   x->EnsureGrad();
   gamma->EnsureGrad();
   beta->EnsureGrad();
@@ -194,7 +199,7 @@ TensorPtr Tape::LayerNorm(const TensorPtr& x, const TensorPtr& gamma,
     const float inv_n = 1.0f / static_cast<float>(n);
     for (size_t r = 0; r < x->rows(); ++r) {
       const float* go = out->grad().data() + r * n;
-      const float* hr = xhat->data() + r * n;
+      const float* hr = xhat->value().data() + r * n;
       const float* gv = gamma->value().data();
       float sum_dy = 0.0f, sum_dy_xhat = 0.0f;
       for (size_t c = 0; c < n; ++c) {
@@ -205,7 +210,7 @@ TensorPtr Tape::LayerNorm(const TensorPtr& x, const TensorPtr& gamma,
       float* gx = x->grad().data() + r * n;
       float* gg = gamma->grad().data();
       float* gb = beta->grad().data();
-      const float istd = (*inv_std)[r];
+      const float istd = inv_std->value()[r];
       for (size_t c = 0; c < n; ++c) {
         const float dy = go[c] * gv[c];
         gx[c] += istd * (dy - inv_n * sum_dy - hr[c] * inv_n * sum_dy_xhat);
@@ -233,16 +238,27 @@ TensorPtr Tape::Relu(const TensorPtr& x) {
 TensorPtr Tape::Gelu(const TensorPtr& x) {
   constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
   auto out = NewResult(x->rows(), x->cols());
-  k::Gelu(x->size(), x->value().data(), out->value().data());
+  if (!recording_) {
+    k::Gelu(x->size(), x->value().data(), out->value().data(), nullptr);
+    return out;
+  }
+  // The forward kernel hands back tanh(u) so backward need not recompute it.
+  auto tanh_u = NewScratch(x->rows(), x->cols());
+  k::Gelu(x->size(), x->value().data(), out->value().data(),
+          tanh_u->value().data());
   x->EnsureGrad();
-  Record([x, out] {
-    for (size_t i = 0; i < x->size(); ++i) {
-      float v = x->value()[i];
-      float u = kC * (v + 0.044715f * v * v * v);
-      float t = std::tanh(u);
-      float dt = (1.0f - t * t) * kC * (1.0f + 3.0f * 0.044715f * v * v);
-      float dgelu = 0.5f * (1.0f + t) + 0.5f * v * dt;
-      x->grad()[i] += out->grad()[i] * dgelu;
+  Record([x, out, tanh_u] {
+    const size_t n = x->size();
+    const float* xv = x->value().data();
+    const float* tv = tanh_u->value().data();
+    const float* go = out->grad().data();
+    float* gx = x->grad().data();
+    for (size_t i = 0; i < n; ++i) {
+      const float v = xv[i];
+      const float t = tv[i];
+      const float dt = (1.0f - t * t) * kC * (1.0f + 3.0f * 0.044715f * v * v);
+      const float dgelu = 0.5f * (1.0f + t) + 0.5f * v * dt;
+      gx[i] += go[i] * dgelu;
     }
   });
   return out;
@@ -356,18 +372,28 @@ TensorPtr Tape::Dropout(const TensorPtr& x, float p, Rng* rng) {
   if (p <= 0.0f) return x;
   SERD_CHECK(rng != nullptr);
   SERD_CHECK_LT(p, 1.0f);
-  auto mask = std::make_shared<std::vector<float>>(x->size());
-  float keep_scale = 1.0f / (1.0f - p);
+  const float keep_scale = 1.0f / (1.0f - p);
+  const size_t n = x->size();
   auto out = NewResult(x->rows(), x->cols());
-  for (size_t i = 0; i < x->size(); ++i) {
-    (*mask)[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
-    out->value()[i] = x->value()[i] * (*mask)[i];
+  auto mask = NewScratch(x->rows(), x->cols());
+  const float* xv = x->value().data();
+  float* mv = mask->value().data();
+  float* ov = out->value().data();
+  // Rng::Bernoulli(p) inlined: the same Uniform() draw (53 high bits of
+  // one Next()) and the same `u < p` test in double, so the mask is
+  // element-for-element the one Bernoulli would give.
+  const double drop_p = p;
+  for (size_t i = 0; i < n; ++i) {
+    const double u = static_cast<double>(rng->Next() >> 11) * 0x1.0p-53;
+    mv[i] = u < drop_p ? 0.0f : keep_scale;
+    ov[i] = xv[i] * mv[i];
   }
   x->EnsureGrad();
   Record([x, out, mask] {
-    for (size_t i = 0; i < x->size(); ++i) {
-      x->grad()[i] += out->grad()[i] * (*mask)[i];
-    }
+    const float* go = out->grad().data();
+    const float* m = mask->value().data();
+    float* gx = x->grad().data();
+    for (size_t i = 0; i < x->size(); ++i) gx[i] += go[i] * m[i];
   });
   return out;
 }
@@ -378,16 +404,17 @@ TensorPtr Tape::CrossEntropy(const TensorPtr& logits,
   SERD_CHECK_EQ(logits->rows(), targets.size());
   const size_t v = logits->cols();
   auto out = NewResult(1, 1);
-  auto probs = std::make_shared<std::vector<float>>(logits->size());
+  auto probs = NewScratch(logits->rows(), v);
   k::SoftmaxRows(logits->rows(), v, logits->value().data(), nullptr,
-                 probs->data());
+                 probs->value().data());
+  const float* pv = probs->value().data();
   size_t counted = 0;
   double total = 0.0;
   for (size_t r = 0; r < logits->rows(); ++r) {
     if (targets[r] == ignore_index) continue;
     SERD_CHECK(targets[r] >= 0 && static_cast<size_t>(targets[r]) < v);
     total += -std::log(
-        std::max(1e-12f, (*probs)[r * v + static_cast<size_t>(targets[r])]));
+        std::max(1e-12f, pv[r * v + static_cast<size_t>(targets[r])]));
     ++counted;
   }
   SERD_CHECK_GT(counted, 0u) << "cross entropy with no counted targets";
@@ -399,7 +426,7 @@ TensorPtr Tape::CrossEntropy(const TensorPtr& logits,
     for (size_t r = 0; r < logits->rows(); ++r) {
       int t = (*targets_copy)[r];
       if (t == ignore_index) continue;
-      const float* pr = probs->data() + r * v;
+      const float* pr = probs->value().data() + r * v;
       float* gl = logits->grad().data() + r * v;
       for (size_t c = 0; c < v; ++c) gl[c] += g * pr[c];
       gl[static_cast<size_t>(t)] -= g;

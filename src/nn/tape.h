@@ -115,7 +115,10 @@ class Tape {
   TensorArena* arena() const { return arena_; }
 
  private:
+  /// An op's result: zeroed grad, value to be overwritten by the op.
   TensorPtr NewResult(size_t rows, size_t cols);
+  /// A forward cache the op keeps for its backward (no grad buffer).
+  TensorPtr NewScratch(size_t rows, size_t cols);
   void Record(std::function<void()> backward_fn);
 
   std::vector<std::function<void()>> nodes_;

@@ -47,14 +47,16 @@ class Tensor {
     if (grad_.size() != value_.size()) grad_.assign(value_.size(), 0.0f);
   }
 
-  /// Reshapes to rows x cols with value and grad zero-filled. Buffer
-  /// capacity is kept, so a recycled tensor (TensorArena) reaches its
-  /// steady-state shape without further heap traffic.
-  void ResizeAndZero(size_t rows, size_t cols) {
+  /// Reshapes to rows x cols for reuse (TensorArena). Buffer capacity is
+  /// kept, so a recycled tensor reaches its steady-state shape without
+  /// further heap traffic. The value buffer is NOT cleared: it holds
+  /// whatever an earlier shape left there, and the caller must overwrite
+  /// every element. The grad buffer is emptied (EnsureGrad re-zeroes it).
+  void Recycle(size_t rows, size_t cols) {
     rows_ = rows;
     cols_ = cols;
-    value_.assign(rows * cols, 0.0f);
-    grad_.assign(rows * cols, 0.0f);
+    value_.resize(rows * cols);
+    grad_.clear();
   }
 
   void ZeroGrad() {

@@ -224,7 +224,7 @@ const float* IncrementalDecoder::Step(int token) {
     LayerNormRow(*layer.ln3_, d, h_.data(), normed_.data());
     ProjectRows(ql ? &ql->ffn1 : nullptr, *layer.ffn1_, 1, normed_.data(),
                 ff_.data());
-    k::Gelu(ff_.size(), ff_.data(), ff_.data());
+    k::Gelu(ff_.size(), ff_.data(), ff_.data(), nullptr);
     ProjectRows(ql ? &ql->ffn2 : nullptr, *layer.ffn2_, 1, ff_.data(),
                 attn_.data());
     k::Add(d, h_.data(), attn_.data(), x_.data());
@@ -373,7 +373,8 @@ const float* BatchedDecoder::Step(const std::vector<int>& lanes,
     LayerNormRowsInto(*layer.ln3_, m, d, h_.data(), normed_.data());
     ProjectRows(ql ? &ql->ffn1 : nullptr, *layer.ffn1_, m, normed_.data(),
                 ff_.data());
-    k::Gelu(m * static_cast<std::size_t>(cfg.ffn_dim), ff_.data(), ff_.data());
+    k::Gelu(m * static_cast<std::size_t>(cfg.ffn_dim), ff_.data(), ff_.data(),
+            nullptr);
     ProjectRows(ql ? &ql->ffn2 : nullptr, *layer.ffn2_, m, ff_.data(),
                 attn_.data());
     k::Add(m * d, h_.data(), attn_.data(), x_.data());

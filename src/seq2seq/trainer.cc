@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "nn/arena.h"
 #include "nn/optimizer.h"
+#include "nn/tape.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
 #include "runtime/sharded_rng.h"
@@ -68,10 +69,12 @@ Seq2SeqTrainReport TrainSeq2Seq(
   auto replica_model = [&](size_t r) {
     return r == 0 ? model : extra_replicas[r - 1].get();
   };
-  // One tensor arena per replica: a replica is held by exactly one worker
-  // at a time, so the arena is never shared, and resetting it when the
-  // replica is acquired recycles the previous example's intermediate
-  // tensors (steady-state training allocates nothing per op).
+  // One tape and one tensor arena per replica: a replica is held by
+  // exactly one worker at a time, so neither is ever shared. Clearing the
+  // tape and resetting the arena when the replica is acquired recycles the
+  // previous example's node list and intermediate tensors (steady-state
+  // training allocates no tensors per op).
+  std::vector<nn::Tape> tapes(num_replicas);
   std::vector<nn::TensorArena> arenas(num_replicas);
   auto sync_replicas = [&]() {
     const auto& master = model->parameters();
@@ -83,6 +86,15 @@ Seq2SeqTrainReport TrainSeq2Seq(
       }
     }
   };
+
+  // Per-example results, indexed by the example's slot in its batch and
+  // reused across batches (each gradient slot keeps its capacity).
+  std::vector<PerExampleGradAccumulator::ExampleGrad> slots(batch);
+  std::vector<double> losses(batch, 0.0);
+  std::vector<double> norms(batch, 0.0);
+  std::vector<size_t> free_replicas;
+  free_replicas.reserve(num_replicas);
+  std::mutex free_mu;
 
   Seq2SeqTrainReport report;
   std::vector<size_t> order(n);
@@ -112,15 +124,11 @@ Seq2SeqTrainReport TrainSeq2Seq(
       sync_replicas();
 
       // Each example runs on whichever replica is free, but its dropout
-      // stream comes from its global example index and its clipped
-      // gradient lands in its own slot, so nothing depends on the
-      // example-to-thread assignment.
-      std::vector<PerExampleGradAccumulator::ClippedGrad> slots(bs);
-      std::vector<double> losses(bs, 0.0);
-      std::vector<double> norms(bs, 0.0);
-      std::vector<size_t> free_replicas(num_replicas);
-      for (size_t r = 0; r < num_replicas; ++r) free_replicas[r] = r;
-      std::mutex free_mu;
+      // stream comes from its global example index and its gradient
+      // lands in its own slot, so nothing depends on the example-to-thread
+      // assignment.
+      free_replicas.clear();
+      for (size_t r = 0; r < num_replicas; ++r) free_replicas.push_back(r);
 
       runtime::ParallelFor(
           options.pool, 0, bs, 1, [&](size_t lo, size_t hi) {
@@ -138,13 +146,18 @@ Seq2SeqTrainReport TrainSeq2Seq(
                   static_cast<uint64_t>(epoch) * n + (start + k);
               Rng ex_rng(runtime::ShardedRng::DeriveSeed(
                   options.seed ^ kDropoutSalt, example_id));
-              nn::Tape tape;
+              nn::Tape& tape = tapes[rid];
               arenas[rid].Reset();
               tape.set_arena(&arenas[rid]);
-              auto loss = m->Loss(&tape, src, tgt, &ex_rng);
-              losses[k] = loss->value()[0];
-              tape.Backward(loss);
-              norms[k] = accumulator.ClipInto(m->parameters(), &slots[k]);
+              {
+                auto loss = m->Loss(&tape, src, tgt, &ex_rng);
+                losses[k] = loss->value()[0];
+                tape.Backward(loss);
+              }
+              // Drop the closures' tensor references now, so the next
+              // example on this replica reuses every pooled tensor.
+              tape.Clear();
+              accumulator.TakeGradient(m->parameters(), &slots[k]);
               {
                 std::lock_guard<std::mutex> lock(free_mu);
                 free_replicas.push_back(rid);
@@ -152,15 +165,15 @@ Seq2SeqTrainReport TrainSeq2Seq(
             }
           });
 
-      // Ordered merge: the batch gradient sum is a function of the example
-      // order alone.
+      // Ordered clip-and-merge: the batch gradient sum is a function of
+      // the example order alone.
+      accumulator.ClipAndMerge(slots, bs, norms.data());
       for (size_t k = 0; k < bs; ++k) {
         epoch_loss += losses[k];
         ++epoch_examples;
         if (options.dp.enabled && norms[k] > options.dp.clip_norm) {
           ++report.clipped_examples;
         }
-        accumulator.MergeClipped(slots[k]);
       }
       report.total_examples += static_cast<long>(bs);
       accumulator.FinishBatch(bs, &noise_rng);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -35,6 +37,29 @@ std::string GetString(const obs::Json& j, const std::string& key,
 double GetNumber(const obs::Json& j, const std::string& key, double fallback) {
   return j.Has(key) ? j.at(key).AsNumber(fallback) : fallback;
 }
+
+/// GetNumber for a field that is converted to an integer type: the value
+/// must be finite and lie in [lo, hi]. JSON numbers are doubles, and
+/// casting one outside the target type's range (negative into unsigned,
+/// too large, infinite) is undefined behaviour, so the range is checked
+/// before any cast.
+Status GetBoundedNumber(const obs::Json& j, const std::string& key,
+                        double fallback, double lo, double hi, double* out) {
+  const double v = GetNumber(j, key, fallback);
+  if (!std::isfinite(v) || v < lo || v > hi) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "'%s' must be a finite number in [%.17g, %.17g]",
+                  key.c_str(), lo, hi);
+    return Status::InvalidArgument(buf);
+  }
+  *out = v;
+  return Status::OK();
+}
+
+/// Largest integer up to which every integer is exactly representable as
+/// a double (2^53): the range accepted for seeds.
+constexpr double kMaxExactInteger = 9007199254740992.0;
 
 bool GetBool(const obs::Json& j, const std::string& key, bool fallback) {
   return j.Has(key) ? j.at(key).AsBool(fallback) : fallback;
@@ -142,6 +167,7 @@ void SerdServer::AcceptLoop() {
       ::close(fd);
       break;
     }
+    SetTcpNoDelay(fd);
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
@@ -208,14 +234,18 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
                                    params->dataset_name + "'");
   }
   params->scale = GetNumber(request, "scale", 0.04);
-  if (params->scale <= 0.0) {
-    return Status::InvalidArgument("'scale' must be positive");
+  if (!std::isfinite(params->scale) || params->scale <= 0.0) {
+    return Status::InvalidArgument("'scale' must be positive and finite");
   }
-  params->data_seed =
-      static_cast<uint64_t>(GetNumber(request, "data_seed", 42));
+  double number = 0.0;
+  SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "data_seed", 42, 0.0,
+                                        kMaxExactInteger, &number));
+  params->data_seed = static_cast<uint64_t>(number);
   if (request.Has("seed")) {
+    SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "seed", 0, 0.0,
+                                          kMaxExactInteger, &number));
     params->has_seed = true;
-    params->seed = static_cast<uint64_t>(request.at("seed").AsNumber());
+    params->seed = static_cast<uint64_t>(number);
   }
   params->tenant = GetString(request, "tenant", "default");
   params->model_dir = GetString(request, "model_dir", "");
@@ -236,7 +266,9 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
         "artifact_mode 'load' requires 'model_dir'");
   }
   params->out_dir = GetString(request, "out", "");
-  params->priority = static_cast<int>(GetNumber(request, "priority", 0));
+  SERD_RETURN_IF_ERROR(
+      GetBoundedNumber(request, "priority", 0, INT_MIN, INT_MAX, &number));
+  params->priority = static_cast<int>(number);
   params->seed_key = GetString(request, "seed_key", "");
   params->enable_rejection = !GetBool(request, "no_rejection", false);
   params->blocking = options_.job_options.blocking;
@@ -255,11 +287,9 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument("unknown decode_precision '" + precision +
                                    "' (fp32|bf16|int8)");
   }
-  params->deadline_ms =
-      static_cast<int64_t>(GetNumber(request, "deadline_ms", 0));
-  if (params->deadline_ms < 0) {
-    return Status::InvalidArgument("'deadline_ms' must be non-negative");
-  }
+  SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "deadline_ms", 0, 0.0,
+                                        kMaxExactInteger, &number));
+  params->deadline_ms = static_cast<int64_t>(number);
   params->wait = GetBool(request, "wait", true);
   return Status::OK();
 }
@@ -382,7 +412,11 @@ obs::Json SerdServer::HandleJob(const obs::Json& request) {
   if (!request.Has("id")) {
     return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
   }
-  JobId id = static_cast<JobId>(request.at("id").AsNumber());
+  double id_number = 0.0;
+  Status id_ok =
+      GetBoundedNumber(request, "id", 0, 0.0, kMaxExactInteger, &id_number);
+  if (!id_ok.ok()) return ErrorJson(id_ok);
+  const JobId id = static_cast<JobId>(id_number);
   Result<JobStatus> status = GetBool(request, "wait", false)
                                  ? scheduler_.Wait(id)
                                  : scheduler_.Query(id);
@@ -394,7 +428,11 @@ obs::Json SerdServer::HandleCancel(const obs::Json& request) {
   if (!request.Has("id")) {
     return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
   }
-  JobId id = static_cast<JobId>(request.at("id").AsNumber());
+  double id_number = 0.0;
+  Status id_ok =
+      GetBoundedNumber(request, "id", 0, 0.0, kMaxExactInteger, &id_number);
+  if (!id_ok.ok()) return ErrorJson(id_ok);
+  const JobId id = static_cast<JobId>(id_number);
   Result<JobStatus> status = scheduler_.Cancel(id);
   if (!status.ok()) return ErrorJson(status.status());
   // The post-cancel snapshot, with "ok" reporting whether the *cancel*

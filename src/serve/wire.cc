@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -68,15 +69,19 @@ Status WriteFrame(int fd, const std::string& payload) {
     return Status::InvalidArgument("frame over " +
                                    std::to_string(kMaxFrameBytes) + " bytes");
   }
-  unsigned char prefix[4];
-  uint32_t n = static_cast<uint32_t>(payload.size());
-  prefix[0] = static_cast<unsigned char>(n >> 24);
-  prefix[1] = static_cast<unsigned char>(n >> 16);
-  prefix[2] = static_cast<unsigned char>(n >> 8);
-  prefix[3] = static_cast<unsigned char>(n);
-  SERD_RETURN_IF_ERROR(
-      WriteAll(fd, reinterpret_cast<const char*>(prefix), 4));
-  return WriteAll(fd, payload.data(), payload.size());
+  // Prefix and payload go out in one write. Two sends (prefix, then
+  // payload) are the write-write-read pattern where Nagle holds the second
+  // segment back until the peer's delayed ACK arrives, tens of ms per
+  // round trip.
+  const uint32_t n = static_cast<uint32_t>(payload.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame.push_back(static_cast<char>(n >> 24));
+  frame.push_back(static_cast<char>(n >> 16));
+  frame.push_back(static_cast<char>(n >> 8));
+  frame.push_back(static_cast<char>(n));
+  frame.append(payload);
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Status ReadFrame(int fd, std::string* payload) {
@@ -139,6 +144,11 @@ Status ListenOn(int port, int* listen_fd, int* bound_port) {
   return Status::OK();
 }
 
+void SetTcpNoDelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 Result<int> ConnectTo(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::IOError(Errno("socket"));
@@ -153,6 +163,7 @@ Result<int> ConnectTo(int port) {
     ::close(fd);
     return status;
   }
+  SetTcpNoDelay(fd);
   return fd;
 }
 

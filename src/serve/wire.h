@@ -24,7 +24,8 @@ namespace serd::serve {
 /// make the receiver allocate gigabytes.
 inline constexpr uint32_t kMaxFrameBytes = 16u << 20;
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame with a single write of prefix and
+/// payload.
 Status WriteFrame(int fd, const std::string& payload);
 
 /// Reads one length-prefixed frame into `payload`. Returns Unavailable
@@ -42,8 +43,14 @@ Result<obs::Json> ReadJson(int fd);
 /// assigned). On success stores the fd and the actually bound port.
 Status ListenOn(int port, int* listen_fd, int* bound_port);
 
-/// Blocking connect to 127.0.0.1:`port`.
+/// Blocking connect to 127.0.0.1:`port`. The socket has TCP_NODELAY set.
 Result<int> ConnectTo(int port);
+
+/// Sets TCP_NODELAY: every frame is one complete request or response, so
+/// there is nothing for Nagle's algorithm to coalesce, only latency to
+/// add. Applied to client sockets (ConnectTo) and to the server's accepted
+/// ones. Best effort: a failure only costs latency.
+void SetTcpNoDelay(int fd);
 
 /// Maps a failed wire-level status class to serd_submit's documented
 /// process exit codes, mirroring the serd_cli artifact scheme (0 = ok,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dp/accountant.h"
 #include "dp/dp_sgd.h"
@@ -112,6 +113,80 @@ TEST_F(DpSgdTest, DisabledMeansNoClipNoNoise) {
   acc.FinishBatch(1, &rng);
   EXPECT_NEAR(p_->grad()[0], 3.0f, 1e-6);
   EXPECT_NEAR(p_->grad()[2], 4.0f, 1e-6);
+}
+
+TEST(DpSgdBatchTest, ClipAndMergeMatchesSequentialAccumulation) {
+  // The trainer's split path (TakeGradient per example, then one
+  // ClipAndMerge that advances up to 8 norm chains together) must give
+  // the same norms and batch sum, bit for bit, as clipping and adding one
+  // example at a time. 11 examples cover a full 8-lane group and a
+  // partial one; the scales put some examples over the bound and some
+  // under it.
+  const size_t examples = 11;
+  std::vector<TensorPtr> params = {MakeTensor(3, 5), MakeTensor(1, 7)};
+  for (auto& p : params) p->EnsureGrad();
+  DpSgdConfig cfg;
+  cfg.clip_norm = 1.0;
+  cfg.noise_multiplier = 0.0;
+  Rng rng(11);
+  std::vector<std::vector<std::vector<float>>> grads(examples);
+  for (size_t e = 0; e < examples; ++e) {
+    const double scale = 0.05 * static_cast<double>(e + 1);
+    for (const auto& p : params) {
+      std::vector<float> g(p->size());
+      for (float& v : g) v = static_cast<float>(rng.Uniform(-scale, scale));
+      grads[e].push_back(g);
+    }
+  }
+  auto load = [&](size_t e) {
+    for (size_t pi = 0; pi < params.size(); ++pi) {
+      params[pi]->grad() = grads[e][pi];
+    }
+  };
+  auto batch_grad = [&]() {
+    std::vector<float> out;
+    for (const auto& p : params) {
+      out.insert(out.end(), p->grad().begin(), p->grad().end());
+    }
+    return out;
+  };
+
+  PerExampleGradAccumulator sequential(params, cfg);
+  sequential.BeginBatch();
+  std::vector<double> want_norms;
+  for (size_t e = 0; e < examples; ++e) {
+    load(e);
+    want_norms.push_back(sequential.AccumulateExample());
+  }
+  Rng noise(1);
+  sequential.FinishBatch(examples, &noise);
+  const std::vector<float> want = batch_grad();
+
+  PerExampleGradAccumulator split(params, cfg);
+  split.BeginBatch();
+  std::vector<PerExampleGradAccumulator::ExampleGrad> slots(examples);
+  for (size_t e = 0; e < examples; ++e) {
+    load(e);
+    split.TakeGradient(params, &slots[e]);
+    for (const auto& p : params) {
+      for (float g : p->grad()) ASSERT_EQ(g, 0.0f);
+    }
+  }
+  std::vector<double> norms(examples);
+  split.ClipAndMerge(slots, examples, norms.data());
+  split.FinishBatch(examples, &noise);
+  EXPECT_EQ(norms, want_norms);
+  EXPECT_EQ(batch_grad(), want);
+  // Each norm is the plain sequential double sum in parameter order.
+  for (size_t e = 0; e < examples; ++e) {
+    double norm_sq = 0.0;
+    for (const auto& g : grads[e]) {
+      for (float v : g) norm_sq += static_cast<double>(v) * v;
+    }
+    EXPECT_EQ(norms[e], std::sqrt(norm_sq)) << "example " << e;
+  }
+  EXPECT_LT(want_norms.front(), cfg.clip_norm);
+  EXPECT_GT(want_norms.back(), cfg.clip_norm);
 }
 
 // ------------------------------------------------------------- Accountant

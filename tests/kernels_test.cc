@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -132,6 +135,162 @@ TEST(KernelsTest, GemmIsDeterministicAcrossCalls) {
   EXPECT_EQ(c1, c2);  // bit-identical, not merely close
 }
 
+/// One GEMM variant under test: logical A (m x k) and B (k x n) views
+/// onto stored buffers, described by strides.
+struct GemmCase {
+  const char* name;
+  size_t a_rows, a_cols;  // stored A shape
+  size_t ars, acs;        // logical A(i,p) = a[i*ars + p*acs]
+  size_t b_rows, b_cols;  // stored B shape
+  size_t brs, bcs;        // logical B(p,j) = b[p*brs + j*bcs]
+};
+
+TEST(KernelsTest, MultiTileRowsMatchOneRowCallsBitwise) {
+  // m = 13 is two full 6-row panels plus a 1-row edge; n = 37 is two full
+  // 16-column panels plus a 5-column edge, so one call mixes in-place full
+  // tiles, register write-back and packed edge tiles. Each row of C is
+  // one chain per element over k, so a 1-row call (always an edge panel)
+  // must reproduce it bit for bit. k = 300 crosses the 256-deep K block.
+  const size_t m = 13, n = 37;
+  Rng rng(31);
+  for (size_t kk : {29u, 300u}) {
+    const GemmCase cases[] = {
+        {"NN", m, kk, kk, 1, kk, n, n, 1},
+        {"NT", m, kk, kk, 1, n, kk, 1, kk},
+        {"TN", kk, m, 1, m, kk, n, n, 1},
+        // Strided views: every other column of a wider A, and a column
+        // slice of a wider B (the KV-cache head-slice layout).
+        {"Strided", m, 2 * kk, 2 * kk, 2, kk, n + 9, n + 9, 1},
+    };
+    for (const GemmCase& g : cases) {
+      for (bool accumulate : {false, true}) {
+        SCOPED_TRACE(testing::Message() << g.name << " k=" << kk
+                                        << " accumulate=" << accumulate);
+        auto a = RandomMatrix(g.a_rows, g.a_cols, &rng);
+        auto b = RandomMatrix(g.b_rows, g.b_cols, &rng);
+        auto c0 = RandomMatrix(m, n, &rng);
+        auto full = c0;
+        k::GemmStrided(m, n, kk, a.data(), g.ars, g.acs, b.data(), g.brs,
+                       g.bcs, full.data(), accumulate);
+        for (size_t i = 0; i < m; ++i) {
+          std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+          k::GemmStrided(1, n, kk, a.data() + i * g.ars, g.ars, g.acs,
+                         b.data(), g.brs, g.bcs, row.data(), accumulate);
+          const std::vector<float> want(full.begin() + i * n,
+                                        full.begin() + (i + 1) * n);
+          ASSERT_EQ(row, want) << "row " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, DenseEntryPointsMatchStridedCallsBitwise) {
+  // GemmNN/NT/TN are GemmStrided with fixed strides. NN reads B's full
+  // column panels in place while NT on the transposed copy must pack them;
+  // both give the same chains, hence the same bits.
+  const size_t m = 19, n = 40, kk = 33;
+  Rng rng(32);
+  auto a = RandomMatrix(m, kk, &rng);
+  auto b = RandomMatrix(kk, n, &rng);
+  std::vector<float> bt(n * kk), at(kk * m);
+  for (size_t p = 0; p < kk; ++p) {
+    for (size_t j = 0; j < n; ++j) bt[j * kk + p] = b[p * n + j];
+    for (size_t i = 0; i < m; ++i) at[p * m + i] = a[i * kk + p];
+  }
+  for (bool accumulate : {false, true}) {
+    auto c0 = RandomMatrix(m, n, &rng);
+    auto nn = c0, nt = c0, tn = c0;
+    k::GemmNN(m, n, kk, a.data(), b.data(), nn.data(), accumulate);
+    k::GemmNT(m, n, kk, a.data(), bt.data(), nt.data(), accumulate);
+    k::GemmTN(m, n, kk, at.data(), b.data(), tn.data(), accumulate);
+    EXPECT_EQ(nn, nt);
+    EXPECT_EQ(nn, tn);
+  }
+}
+
+/// GELU's tanh form evaluated in double: the accuracy reference.
+double GeluReference(double x) {
+  const double u = std::sqrt(2.0 / M_PI) * (x + 0.044715 * x * x * x);
+  return 0.5 * x * (1.0 + std::tanh(u));
+}
+
+TEST(KernelsTest, GeluWithinBoundOfDoubleReference) {
+  // Every float on a 1e-4 grid over [-12, 12]: the clamped rational tanh
+  // stays within 2e-6 absolute of the double-precision GELU (float
+  // std::tanh measures 4.3e-7 on the same grid).
+  std::vector<float> x;
+  for (long i = -120000; i <= 120000; ++i) {
+    x.push_back(static_cast<float>(static_cast<double>(i) * 1e-4));
+  }
+  std::vector<float> out(x.size()), t(x.size());
+  k::Gelu(x.size(), x.data(), out.data(), t.data());
+  double worst = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, std::fabs(out[i] - GeluReference(x[i])));
+    // The saved tanh is the one the forward value was built from.
+    ASSERT_EQ(out[i], 0.5f * x[i] * (1.0f + t[i])) << "x=" << x[i];
+    ASSERT_LE(std::fabs(t[i]), 1.0f) << "x=" << x[i];
+  }
+  EXPECT_LE(worst, 2e-6);
+  // Odd symmetry of tanh carries over exactly: GELU(x) - GELU(-x) = x.
+  const float v = 0.731f, nv = -0.731f;
+  float gv = 0.0f, gnv = 0.0f;
+  k::Gelu(1, &v, &gv, nullptr);
+  k::Gelu(1, &nv, &gnv, nullptr);
+  EXPECT_NEAR(gv - gnv, v, 1e-7f);
+}
+
+TEST(KernelsTest, GeluBitsDoNotDependOnTheBuild) {
+  // Gelu is compiled without FMA contraction and uses no libm call, so the
+  // baseline (SSE2), -march=native (AVX2/AVX-512 + FMA) and any -O level
+  // produce the same floats: an FNV-1a digest of the grid pins them.
+  std::vector<float> x;
+  for (long i = -120000; i <= 120000; ++i) {
+    x.push_back(static_cast<float>(static_cast<double>(i) * 1e-4));
+  }
+  std::vector<float> out(x.size());
+  k::Gelu(x.size(), x.data(), out.data(), nullptr);
+  uint64_t digest = 1469598103934665603ULL;
+  for (float v : out) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    digest = (digest ^ bits) * 1099511628211ULL;
+  }
+  EXPECT_EQ(digest, 0x2b6106a21ef7eae0ULL);
+}
+
+TEST(KernelsTest, GeluInPlaceAndWithoutTanhOutputAreBitIdentical) {
+  // The decode paths call Gelu in place with no tanh output; the tape
+  // calls it out of place with one. Both must produce the same bits, over
+  // lengths that are not multiples of the kernel's internal block.
+  Rng rng(33);
+  for (size_t n : {1u, 7u, 255u, 256u, 257u, 1000u}) {
+    std::vector<float> x(n);
+    for (float& v : x) v = static_cast<float>(rng.Uniform(-9.0, 9.0));
+    std::vector<float> out(n), t(n);
+    k::Gelu(n, x.data(), out.data(), t.data());
+    std::vector<float> in_place = x;
+    k::Gelu(n, in_place.data(), in_place.data(), nullptr);
+    EXPECT_EQ(in_place, out) << "n=" << n;
+  }
+}
+
+TEST(KernelsTest, TapeGeluEqualsKernelBitwise) {
+  Rng rng(34);
+  auto x = MakeTensor(5, 37);
+  for (float& v : x->value()) {
+    v = static_cast<float>(rng.Uniform(-6.0, 6.0));
+  }
+  std::vector<float> want(x->size());
+  k::Gelu(x->size(), x->value().data(), want.data(), nullptr);
+  for (bool recording : {true, false}) {
+    Tape tape;
+    tape.set_recording(recording);
+    EXPECT_EQ(tape.Gelu(x)->value(), want) << "recording=" << recording;
+  }
+}
+
 TEST(KernelsTest, SoftmaxRowsNormalizesAndAppliesMask) {
   const size_t rows = 2, cols = 3;
   std::vector<float> x = {1.0f, 2.0f, 3.0f, 0.0f, 0.0f, 0.0f};
@@ -189,6 +348,7 @@ TEST(KernelsTest, LayerNormRowsNormalizes) {
 TEST(ArenaTest, ReusesTensorsAfterReset) {
   TensorArena arena;
   TensorPtr t0 = arena.Allocate(4, 8);
+  for (float& g : t0->grad()) g = 7.0f;  // a used gradient
   Tensor* raw = t0.get();
   t0.reset();  // drop our reference so the slot is reusable
   EXPECT_EQ(arena.pooled(), 1u);
@@ -197,8 +357,22 @@ TEST(ArenaTest, ReusesTensorsAfterReset) {
   EXPECT_EQ(t1.get(), raw);  // same tensor, recycled
   EXPECT_EQ(t1->rows(), 2u);
   EXPECT_EQ(t1->cols(), 3u);
-  for (float v : t1->value()) EXPECT_EQ(v, 0.0f);
+  EXPECT_EQ(t1->size(), 6u);
+  // Grads come back zeroed (backward accumulates into them); values are
+  // left for the caller to overwrite (see TensorArena's zeroing rule).
+  ASSERT_EQ(t1->grad().size(), 6u);
+  for (float g : t1->grad()) EXPECT_EQ(g, 0.0f);
   EXPECT_EQ(arena.pooled(), 1u);
+}
+
+TEST(ArenaTest, ScratchHasNoGradBuffer) {
+  TensorArena arena;
+  TensorPtr t0 = arena.Allocate(3, 4);
+  t0.reset();
+  arena.Reset();
+  TensorPtr s = arena.Scratch(2, 5);
+  EXPECT_EQ(s->size(), 10u);
+  EXPECT_TRUE(s->grad().empty());
 }
 
 TEST(ArenaTest, EscapedTensorIsLeftToItsOwner) {

@@ -236,6 +236,33 @@ TEST(TapeTest, DropoutKeepsExpectedScale) {
   EXPECT_NEAR(total / 10000.0, 1.0, 0.05);
 }
 
+TEST(TapeTest, DropoutMaskMatchesBernoulliDecisions) {
+  // The dropout loop inlines Rng::Bernoulli; element i must be dropped
+  // exactly when the i-th Bernoulli(p) draw of an identically seeded Rng
+  // says so, and backward must route gradient through the same mask.
+  const float p = 0.3f;
+  auto x = RandomTensor(7, 9, 41);
+  Rng rng(5);
+  Tape tape;
+  auto y = tape.Dropout(x, p, &rng);
+  auto loss = tape.MeanAll(tape.Mul(y, y));
+  tape.Backward(loss);
+  Rng ref(5);
+  const float keep = 1.0f / (1.0f - p);
+  size_t dropped = 0;
+  for (size_t i = 0; i < x->size(); ++i) {
+    const bool drop = ref.Bernoulli(p);
+    dropped += drop ? 1 : 0;
+    const float mask = drop ? 0.0f : keep;
+    EXPECT_EQ(y->value()[i], x->value()[i] * mask) << "element " << i;
+    EXPECT_EQ(x->grad()[i], y->grad()[i] * mask) << "element " << i;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LT(dropped, x->size());
+  // Both streams consumed exactly one draw per element.
+  EXPECT_EQ(rng.Next(), ref.Next());
+}
+
 TEST(TapeTest, SharedSubexpressionAccumulatesGrads) {
   auto x = MakeTensor(1, 1, 2.0f);
   Tape tape;

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "nn/arena.h"
+#include "runtime/thread_pool.h"
 #include "seq2seq/model_bank.h"
 #include "seq2seq/trainer.h"
 #include "seq2seq/transformer.h"
@@ -271,6 +273,99 @@ TEST(TrainerTest, DpOffMeansInfiniteEpsilon) {
   opts.dp.enabled = false;
   auto report = TrainSeq2Seq(&model, vocab, {{"a", "b"}}, opts);
   EXPECT_TRUE(std::isinf(report.epsilon));
+}
+
+/// A bank-sized model (full 6x16 GEMM tiles) with dropout on, and pairs
+/// of assorted lengths, for the trainer's bit-exactness tests.
+TransformerConfig DropoutConfig(int vocab_size) {
+  TransformerConfig cfg = TinyConfig(vocab_size);
+  cfg.d_model = 32;
+  cfg.ffn_dim = 64;
+  cfg.dropout = 0.1f;
+  return cfg;
+}
+
+std::vector<std::pair<std::string, std::string>> AssortedPairs() {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  const std::string base = "the quick brown fox jumps over a lazy dog";
+  for (size_t i = 0; i < 20; ++i) {
+    const std::string src = base.substr(i % 7, 5 + (i * 3) % 17);
+    std::string tgt = src;
+    tgt[i % tgt.size()] = 'z';
+    pairs.emplace_back(src, tgt);
+  }
+  return pairs;
+}
+
+std::vector<std::vector<float>> Grads(const TransformerSeq2Seq& model) {
+  std::vector<std::vector<float>> out;
+  for (const auto& p : model.parameters()) out.push_back(p->grad());
+  return out;
+}
+
+TEST(TrainerTest, DirtyArenaLossAndGradsMatchFreshArena) {
+  // The arena hands out recycled value buffers unzeroed. A Loss+Backward
+  // on an arena last used by a differently shaped graph (longer source
+  // and target) must match a fresh arena and the heap bit for bit.
+  CharVocab vocab;
+  vocab.Fit({"the quick brown fox jumps over a lazy dog z"});
+  Rng init(4);
+  TransformerSeq2Seq model(DropoutConfig(vocab.size()), &init);
+  const auto src = vocab.Encode("brown fox");
+  const auto tgt = vocab.Encode("brown fix");
+  auto run = [&](nn::TensorArena* arena, const std::vector<int>& s,
+                 const std::vector<int>& t) {
+    model.ZeroGrad();
+    nn::Tape tape;
+    if (arena != nullptr) {
+      arena->Reset();
+      tape.set_arena(arena);
+    }
+    Rng dropout(17);
+    auto loss = model.Loss(&tape, s, t, &dropout);
+    tape.Backward(loss);
+    return std::make_pair(loss->value()[0], Grads(model));
+  };
+  const auto heap = run(nullptr, src, tgt);
+  nn::TensorArena fresh;
+  const auto fresh_run = run(&fresh, src, tgt);
+  EXPECT_EQ(fresh_run.first, heap.first);
+  EXPECT_EQ(fresh_run.second, heap.second);
+
+  nn::TensorArena dirty;
+  run(&dirty, vocab.Encode("the quick brown fox jumps"),
+      vocab.Encode("a lazy dog jumps over the fox"));
+  const auto dirty_run = run(&dirty, src, tgt);
+  EXPECT_EQ(dirty_run.first, heap.first);
+  EXPECT_EQ(dirty_run.second, heap.second);
+}
+
+TEST(TrainerTest, WeightsIdenticalWithAndWithoutPool) {
+  // Each example's dropout stream comes from its global index and clipped
+  // gradients merge in example order, so the trained weights do not
+  // depend on how many replicas ran the examples.
+  CharVocab vocab;
+  vocab.Fit({"the quick brown fox jumps over a lazy dog z"});
+  const auto pairs = AssortedPairs();
+  auto train = [&](runtime::ThreadPool* pool) {
+    Rng init(3);
+    TransformerSeq2Seq model(DropoutConfig(vocab.size()), &init);
+    Seq2SeqTrainOptions opts;
+    opts.epochs = 2;
+    opts.batch_size = 8;
+    opts.seed = 21;
+    opts.dp.noise_multiplier = 1.0;
+    opts.pool = pool;
+    const auto report = TrainSeq2Seq(&model, vocab, pairs, opts);
+    std::vector<std::vector<float>> weights;
+    for (const auto& p : model.parameters()) weights.push_back(p->value());
+    return std::make_pair(report.epoch_losses, weights);
+  };
+  const auto serial = train(nullptr);
+  runtime::ThreadPool pool(3);
+  const auto pooled = train(&pool);
+  EXPECT_EQ(serial.first, pooled.first);
+  EXPECT_EQ(serial.second, pooled.second);
 }
 
 // --------------------------------------------------------------- the bank

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -1403,6 +1404,115 @@ TEST(ServerTest, RejectsMalformedRequestsWithoutDying) {
   EXPECT_TRUE(reply->at("ok").AsBool());
 
   client.Close();
+  server.Stop();
+}
+
+TEST(ServerTest, SequentialRequestsOnOneConnectionAreNotDelayed) {
+  // A frame written as two sends (prefix, then payload) on a socket
+  // without TCP_NODELAY waits out the peer's delayed ACK: ~90 ms per round
+  // trip, ~1.8 s for these 20. One write per frame plus TCP_NODELAY on
+  // both ends keeps a loopback round trip well under a millisecond.
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  obs::Json health = obs::Json::Object();
+  health.Set("verb", "health");
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 20; ++i) {
+    auto reply = client.Call(health);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_TRUE(reply->at("ok").AsBool());
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 1.0);
+  client.Close();
+  server.Stop();
+}
+
+/// Sends `payload` as one raw frame, so it can carry JSON number spellings
+/// obs::Json never writes (1e999 parses to +inf), and returns the reply.
+Result<obs::Json> RawCall(int port, const std::string& payload) {
+  Result<int> fd = serve::ConnectTo(port);
+  if (!fd.ok()) return fd.status();
+  Status sent = serve::WriteFrame(*fd, payload);
+  Result<obs::Json> reply =
+      sent.ok() ? serve::ReadJson(*fd) : Result<obs::Json>(sent);
+  ::close(*fd);
+  return reply;
+}
+
+/// Starts a server and checks that a synthesize request whose `field` is
+/// each of `values` (JSON number text) is rejected as InvalidArgument
+/// naming the field, before any job is admitted.
+void ExpectNumberRejected(const std::string& field,
+                          const std::vector<std::string>& values) {
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string& value : values) {
+    auto reply = RawCall(server.port(),
+                         R"({"verb":"synthesize","dataset":"dblp-acm",")" +
+                             field + "\":" + value + "}");
+    ASSERT_TRUE(reply.ok()) << field << "=" << value;
+    EXPECT_FALSE(reply->at("ok").AsBool()) << field << "=" << value;
+    EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument")
+        << field << "=" << value;
+    EXPECT_NE(reply->at("error").AsString().find(field), std::string::npos)
+        << reply->Dump();
+  }
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  obs::Json stats = obs::Json::Object();
+  stats.Set("verb", "stats");
+  auto stats_reply = client.Call(stats);
+  ASSERT_TRUE(stats_reply.ok());
+  EXPECT_EQ(stats_reply->at("metrics")
+                .at("counters")
+                .at("scheduler.submitted")
+                .AsNumber(),
+            0.0)
+      << stats_reply->Dump();
+  client.Close();
+  server.Stop();
+}
+
+TEST(ServerTest, RejectsInfiniteScale) {
+  // 1e999 parses to +inf, which a bare `scale <= 0` check lets through.
+  ExpectNumberRejected("scale", {"1e999"});
+}
+
+TEST(ServerTest, RejectsOutOfRangeSeed) {
+  // Casting a negative, > 2^53 or infinite double to uint64_t is UB.
+  ExpectNumberRejected("seed", {"-1", "1e19", "1e999"});
+}
+
+TEST(ServerTest, RejectsOutOfRangeDataSeed) {
+  ExpectNumberRejected("data_seed", {"-1", "1e16", "-1e999"});
+}
+
+TEST(ServerTest, RejectsOutOfRangePriority) {
+  // priority is an int: anything past INT_MAX / INT_MIN is out of range.
+  ExpectNumberRejected("priority", {"1e10", "-1e10", "1e999"});
+}
+
+TEST(ServerTest, RejectsOutOfRangeDeadlineAndJobId) {
+  ExpectNumberRejected("deadline_ms", {"-5", "1e300"});
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  for (const char* request : {R"({"verb":"job","id":-1})",
+                              R"({"verb":"cancel","id":1e999})"}) {
+    auto reply = RawCall(server.port(), request);
+    ASSERT_TRUE(reply.ok()) << request;
+    EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument") << request;
+  }
   server.Stop();
 }
 

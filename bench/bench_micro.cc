@@ -286,8 +286,8 @@ BENCHMARK(BM_GmmSample);
 
 // ---- Decode rows (single thread; `--generate` selects these and      ----
 // ---- writes BENCH_generate.json; see main() below). Cached vs full   ----
-// ---- re-decode of one candidate, and serial vs shared-encoder        ----
-// ---- batched generation of a candidate set.                          ----
+// ---- re-decode of one candidate, and serial reference vs lockstep    ----
+// ---- generation of a candidate set.                                  ----
 
 /// Shared fixture for the generation rows: a random-weight model over a
 /// realistic character vocabulary and a source string of the requested
@@ -329,15 +329,14 @@ void BM_GenerateFullDecode(benchmark::State& state) {
 BENCHMARK(BM_GenerateFullDecode)->Arg(24)->Arg(40)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateKvCached(benchmark::State& state) {
+  // One candidate through the KV-cached decoder (a 1-lane lockstep batch).
   GenerateFixture fx(static_cast<int>(state.range(0)));
   long steps = 0;
   for (auto _ : state) {
-    Rng rng(17);
     GenerateStats gstats;
-    fx.model->GenerateBatch(
-        fx.src_ids, 1, &rng, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*use_kv_cache=*/true, &gstats);
+    fx.model->GenerateBatchLanes(
+        fx.model->EncodeMemory(fx.src_ids), 1, /*stream_seed=*/17, 1.0f,
+        [](int, const std::vector<int>&) { return true; }, &gstats);
     steps += gstats.steps;
   }
   state.SetItemsProcessed(steps);
@@ -345,7 +344,7 @@ void BM_GenerateKvCached(benchmark::State& state) {
 BENCHMARK(BM_GenerateKvCached)->Arg(24)->Arg(40)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateCandidatesSerial(benchmark::State& state) {
-  // S2's pre-batching candidate loop: re-encode the source and full
+  // The --reference-decode candidate loop: re-encode the source and full
   // re-decode for each of the 4 candidates.
   GenerateFixture fx(40);
   const int candidates = static_cast<int>(state.range(0));
@@ -360,16 +359,14 @@ void BM_GenerateCandidatesSerial(benchmark::State& state) {
 BENCHMARK(BM_GenerateCandidatesSerial)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateCandidatesBatched(benchmark::State& state) {
-  // The batched path: encode once, share the memory and its cross K/V
-  // across all candidates, decode each through the KV cache.
+  // The production path: encode once, share the memory and its cross K/V
+  // across all candidates, decode them lockstep through the KV cache.
   GenerateFixture fx(40);
   const int candidates = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Rng rng(19);
-    int produced = fx.model->GenerateBatch(
-        fx.src_ids, candidates, &rng, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*use_kv_cache=*/true);
+    int produced = fx.model->GenerateBatchLanes(
+        fx.model->EncodeMemory(fx.src_ids), candidates, /*stream_seed=*/19,
+        1.0f, [](int, const std::vector<int>&) { return true; });
     benchmark::DoNotOptimize(produced);
   }
   state.SetItemsProcessed(state.iterations() * candidates);
@@ -441,8 +438,7 @@ void BM_GenerateCandidatesLaneBatched(benchmark::State& state,
     GenerateStats gstats;
     int produced = fx.model->GenerateBatchLanes(
         memory, candidates, /*stream_seed=*/19, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*lockstep=*/true, &gstats);
+        [](int, const std::vector<int>&) { return true; }, &gstats);
     benchmark::DoNotOptimize(produced);
     steps += gstats.steps;
   }
@@ -466,27 +462,6 @@ BENCHMARK_CAPTURE(BM_GenerateCandidatesLaneBatched, int8,
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GenerateCandidatesLaneOracle(benchmark::State& state) {
-  // The lane-sequential oracle on the same per-candidate streams: decodes
-  // identical tokens to the lockstep fp32 row above, one lane at a time
-  // (same serving-scale fixture). The gap between this row and the
-  // lockstep fp32 row is pure matrix-batching.
-  GenerateFixture fx(40, ServingScaleConfig());
-  const int candidates = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    EncoderMemoryPtr memory = fx.model->EncodeMemory(fx.src_ids);
-    int produced = fx.model->GenerateBatchLanes(
-        memory, candidates, /*stream_seed=*/19, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*lockstep=*/false);
-    benchmark::DoNotOptimize(produced);
-  }
-  state.SetItemsProcessed(state.iterations() * candidates);
-}
-BENCHMARK(BM_GenerateCandidatesLaneOracle)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Observability rows: instrumentation-site cost with the registry ----
@@ -608,7 +583,7 @@ int main(int argc, char** argv) {
   // instead, so the single-thread kernel numbers live in their own file.
   //
   // `--generate` (or SERD_BENCH_GENERATE) likewise selects the decode
-  // rows (KV-cached vs full re-decode, batched vs serial candidate
+  // rows (KV-cached vs full re-decode, lockstep vs serial candidate
   // generation) and writes BENCH_generate.json.
   serd::bench::RequireReleaseBuild("bench_micro");
   auto env_set = [](const char* name) {
@@ -663,9 +638,10 @@ int main(int argc, char** argv) {
     benchmark::AddCustomContext(
         "quant_quality_gate",
         "dblp-acm scale 0.04 seed 42 (serd_cli): JSD(O_real,O_syn) fp32 "
-        "0.1608 vs int8 0.1532 (512-sample print; 192-sample manifest "
-        "0.38755 vs 0.35010), int8 decode_quantized_steps 53598; matcher "
-        "F1 delta <= 0.01 and JSD delta <= 0.05 asserted by "
+        "0.1670 vs int8 0.1830 (512-sample print; 192-sample manifest "
+        "0.42842 vs 0.39792), int8 decode_quantized_steps 52377; mean "
+        "matcher F1 delta <= 0.01 and mean JSD delta <= 0.05 over 8 job "
+        "seeds asserted by "
         "QuantPipelineTest.QualityGateInt8WithinBoundOfFp32");
   }
   benchmark::RunSpecifiedBenchmarks();

@@ -15,19 +15,11 @@
 //            [--load-models DIR]  (warm start: restore the offline models
 //                                  from DIR and skip training; fails if
 //                                  the artifact is missing or invalid)
-//            [--reference-decode]  (decode candidates with the full
-//                                   re-decode reference path instead of
-//                                   the KV cache; slower, bit-identical
-//                                   output — used to audit the cache)
-//            [--batched-decode]  (decode candidates token-lockstep on
-//                                 per-candidate RNG streams — one M-row
-//                                 GEMM per layer per step. Released bytes
-//                                 differ from the default shared-stream
-//                                 path; see DESIGN.md §5k)
-//            [--batched-oracle]  (per-candidate streams decoded one lane
-//                                 at a time: the bit-exactness oracle for
-//                                 --batched-decode — identical output,
-//                                 no matrix batching)
+//            [--reference-decode]  (decode candidates with the fp32 full
+//                                   re-decode reference instead of the
+//                                   lockstep KV-cached decoder; slower,
+//                                   bit-identical output — used to audit
+//                                   the decoder)
 //            [--decode-precision fp32|bf16|int8]  (numeric format for the
 //                                 KV-cached candidate decode: int8/bf16
 //                                 quantize the decoder projections and run
@@ -65,7 +57,7 @@ int Usage(const char* argv0) {
       "          [--alpha A] [--beta B] [--buckets K] [--candidates C]\n"
       "          [--threads N] [--manifest FILE.json]\n"
       "          [--save-models DIR] [--load-models DIR]\n"
-      "          [--reference-decode] [--batched-decode] [--batched-oracle]\n"
+      "          [--reference-decode]\n"
       "          [--decode-precision fp32|bf16|int8]\n"
       "          [--blocking off|qgram|auto]\n"
       "          [--label-cap N]\n",
@@ -130,12 +122,6 @@ int main(int argc, char** argv) {
       options.artifact_mode = SerdOptions::ArtifactMode::kLoad;
     } else if (arg == "--reference-decode") {
       options.string_bank.incremental_decode = false;
-    } else if (arg == "--batched-decode") {
-      options.string_bank.batched_decode = true;
-      options.string_bank.batched_lockstep = true;
-    } else if (arg == "--batched-oracle") {
-      options.string_bank.batched_decode = true;
-      options.string_bank.batched_lockstep = false;
     } else if (arg == "--decode-precision") {
       if (!ParseDecodePrecision(next("--decode-precision"),
                                 &options.string_bank.decode_precision)) {

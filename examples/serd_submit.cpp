@@ -24,7 +24,7 @@
 //               [--tenant T] [--model-dir DIR]
 //               [--artifact-mode auto|load|save] [--out DIR]
 //               [--priority P] [--seed-key K] [--no-rejection]
-//               [--blocking off|qgram|auto] [--batched-decode]
+//               [--blocking off|qgram|auto]
 //               [--decode-precision fp32|bf16|int8]
 //               [--deadline-ms N] [--no-wait] [--id N]
 //               [--retries N] [--backoff-ms N]
@@ -50,7 +50,7 @@ int Usage(const char* argv0) {
       "          [--tenant T] [--model-dir DIR]\n"
       "          [--artifact-mode auto|load|save] [--out DIR]\n"
       "          [--priority P] [--seed-key K] [--no-rejection]\n"
-      "          [--blocking off|qgram|auto] [--batched-decode]\n"
+      "          [--blocking off|qgram|auto]\n"
       "          [--decode-precision fp32|bf16|int8]\n"
       "          [--deadline-ms N] [--no-wait] [--id N]\n"
       "          [--retries N] [--backoff-ms N]\n"
@@ -108,8 +108,6 @@ int main(int argc, char** argv) {
       request.Set("seed_key", next("--seed-key"));
     } else if (arg == "--blocking") {
       request.Set("blocking", next("--blocking"));
-    } else if (arg == "--batched-decode") {
-      request.Set("batched_decode", true);
     } else if (arg == "--decode-precision") {
       request.Set("decode_precision", next("--decode-precision"));
     } else if (arg == "--no-rejection") {

@@ -43,17 +43,21 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 
   echo "==> ctest (decode equivalence under ASan)"
   # The fuzz sweep asserting cached-decode logits match the full re-decode
-  # reference, plus the lane-batched decode suites asserting the lockstep
-  # path matches the lane-sequential oracle bitwise; run by name so a
-  # label change can't silently drop them.
+  # reference, the lockstep decoder suites (M-lane rows == 1-lane steps at
+  # every precision, lanes == per-candidate-stream reference), and the
+  # bank-level default-vs-reference identity; run by name so a label
+  # change can't silently drop them, and --no-tests=error so a rename
+  # that leaves the pattern matching nothing fails instead of passing.
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-    -R 'KvCacheFuzzSweep|KvCacheTest|BatchedDecodeTest|BatchedBankTest'
+    --no-tests=error \
+    -R 'KvCacheFuzzSweep|KvCacheTest|BatchedDecodeTest|BatchedBankTest|IncrementalAndReferenceDecodeSynthesizeIdentically'
 
   echo "==> ctest (quantized decode quality gate under ASan)"
   # The int8/bf16 kernel tolerance sweeps, the quantized-artifact codec
   # fuzz, and the end-to-end fp32-vs-int8 matcher-F1/JSD gate
   # (QuantPipelineTest); run by name for the same reason as above.
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
+    --no-tests=error \
     -R 'QuantKernelTest|QuantModelTest|QuantCodecTest|QuantPipelineTest'
 fi
 
@@ -90,10 +94,13 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     > "$SMOKE_DIR/warm_s2.txt"
   diff "$SMOKE_DIR/cold_s2.txt" "$SMOKE_DIR/warm_s2.txt"
 
-  echo "==> smoke: KV-cached decode is bit-identical to the reference path"
-  # Same seed, decode through the KV cache (default) vs the full re-decode
-  # reference (--reference-decode): the released datasets must match byte
-  # for byte, and the cached run must actually have used the cache.
+  echo "==> smoke: lockstep decode is bit-identical to the reference oracle"
+  # The one decode-oracle check. Same seed, candidates decoded lockstep
+  # through the KV cache (default) vs the fp32 full re-decode reference
+  # (--reference-decode) on the same per-candidate streams: the released
+  # datasets must match byte for byte, both runs must sample the same
+  # number of tokens, and the default run must actually have used the
+  # cache.
   "$CLI" "${COMMON[@]}" --out "$SMOKE_DIR/kv" --manifest "$SMOKE_DIR/kv.json"
   "$CLI" "${COMMON[@]}" --reference-decode --out "$SMOKE_DIR/ref" \
     --manifest "$SMOKE_DIR/ref.json"
@@ -162,30 +169,6 @@ assert rep["decode_quantized_steps"] == rep["decode_cached_steps"], \
 counters = json.dumps(man)
 assert '"s2.decode_quantized_steps"' in counters, \
     "manifest lost the s2.decode_quantized_steps counter"
-EOF
-
-  echo "==> smoke: lane-batched decode matches its lane-sequential oracle"
-  # Same seed, token-lockstep lane batching (--batched-decode) vs the
-  # per-candidate-stream oracle that decodes one lane at a time
-  # (--batched-oracle): identical RNG streams, so the released datasets
-  # must match byte for byte while only the lockstep run batches GEMMs.
-  "$CLI" "${COMMON[@]}" --batched-decode \
-    --out "$SMOKE_DIR/lanes" --manifest "$SMOKE_DIR/lanes.json"
-  "$CLI" "${COMMON[@]}" --batched-oracle \
-    --out "$SMOKE_DIR/lanes_ref" --manifest "$SMOKE_DIR/lanes_ref.json"
-  diff -r "$SMOKE_DIR/lanes" "$SMOKE_DIR/lanes_ref"
-  grep -q '"batched_decode": true' "$SMOKE_DIR/lanes.json"
-  grep -q '"batched_lockstep": true' "$SMOKE_DIR/lanes.json"
-  grep -q '"batched_lockstep": false' "$SMOKE_DIR/lanes_ref.json"
-  python3 - "$SMOKE_DIR/lanes.json" "$SMOKE_DIR/lanes_ref.json" <<'EOF'
-import json, sys
-lanes = json.load(open(sys.argv[1]))["report"]
-ref = json.load(open(sys.argv[2]))["report"]
-assert lanes["decode_steps"] > 0, "lane-batched run decoded nothing"
-assert lanes["decode_cached_steps"] == lanes["decode_steps"], \
-    "lane-batched run fell back to full re-decode"
-assert lanes["decode_steps"] == ref["decode_steps"], \
-    "lockstep and oracle drew different token streams"
 EOF
 fi
 

@@ -922,8 +922,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("block_recall_samples", options_.block_recall_samples);
   opts.Set("observability", options_.observability);
   opts.Set("incremental_decode", options_.string_bank.incremental_decode);
-  opts.Set("batched_decode", options_.string_bank.batched_decode);
-  opts.Set("batched_lockstep", options_.string_bank.batched_lockstep);
   opts.Set("decode_precision",
            DecodePrecisionName(options_.string_bank.decode_precision));
   opts.Set("model_dir", options_.model_dir);

@@ -146,10 +146,10 @@ struct SerdReport {
   long tracked_pairs_neg = 0;
   long jsd_evaluations = 0;      ///< EstimateJsd calls during Synthesize()
   /// String-bank decode accounting for this run (summed over the text
-  /// columns' banks): next-token logits rows computed, how many went
-  /// through the KV-cached incremental path, and encoder-memory cache
-  /// traffic. cached = 0 when running with incremental_decode off
-  /// (--reference-decode).
+  /// columns' banks): next-token logits rows sampled for delivered
+  /// candidates, how many went through the KV-cached decoder, and
+  /// encoder-memory cache traffic. cached = 0 when running with
+  /// incremental_decode off (--reference-decode).
   long decode_steps = 0;
   long decode_cached_steps = 0;
   /// Cached steps whose projections ran through the int8/bf16 kernels
@@ -352,20 +352,6 @@ class SerdSynthesizer {
   void set_blocking(SerdOptions::BlockingMode mode) {
     std::lock_guard<std::mutex> lock(state_mu_);
     options_.blocking = mode;
-    report_.ResetOnlineStats();
-  }
-
-  /// Switches the candidate-decode mode of every trained string bank for
-  /// the next Synthesize() (serve jobs toggle it per request on a warm
-  /// entry). Lane-batched decode draws from per-candidate RNG streams, so
-  /// flipping it changes released bytes — callers opt in per job
-  /// (DESIGN.md §5k). Resets the run statistics.
-  void set_batched_decode(bool enabled) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    options_.string_bank.batched_decode = enabled;
-    for (auto& bank : banks_) {
-      if (bank != nullptr) bank->set_batched_decode(enabled);
-    }
     report_.ResetOnlineStats();
   }
 

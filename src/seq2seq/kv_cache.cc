@@ -12,50 +12,10 @@ namespace {
 
 namespace k = nn::kernels;
 
-/// y[out] = x[in] * W + b, the single-row mirror of Linear::Forward
-/// (MatMul then per-row bias Add — identical kernel calls, so identical
-/// rounding). `y` must not alias `x`.
-void LinearRowInto(const nn::Linear& lin, const float* x, float* y) {
-  const auto& w = lin.weight();
-  const std::size_t in = w->rows(), out = w->cols();
-  k::GemmNN(1, out, in, x, w->value().data(), y, /*accumulate=*/false);
-  if (lin.bias() != nullptr) k::Add(out, y, lin.bias()->value().data(), y);
-}
-
-/// y[d] = LN(x[d]), the single-row mirror of LayerNormLayer::Forward at
-/// inference (same kernel, same 1e-5 eps as Tape::LayerNorm's default).
-void LayerNormRow(const nn::LayerNormLayer& ln, std::size_t d, const float* x,
-                  float* y) {
-  k::LayerNormRows(1, d, x, ln.gamma()->value().data(),
-                   ln.beta()->value().data(), 1e-5f, y,
-                   /*xhat=*/nullptr, /*inv_std=*/nullptr);
-}
-
-/// One query row against `len` cached K/V rows, all heads. `kbuf`/`vbuf`
-/// are [*, d] row-major with the head's columns at offset h*head_dim, so
-/// the score GEMM reads K transposed via strides (brs=1, bcs=d) and the
-/// mix GEMM reads V directly (brs=d, bcs=1) — no copies. The scale is
-/// applied after the score GEMM, matching the full path's
-/// Scale(MatMul(...)) order.
-void AttentionRow(int num_heads, int head_dim, int d, int len, const float* q,
-                  const float* kbuf, const float* vbuf, float* scores,
-                  float* out) {
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  for (int h = 0; h < num_heads; ++h) {
-    const std::size_t off = static_cast<std::size_t>(h) * head_dim;
-    k::GemmStrided(1, len, head_dim, q + off, head_dim, 1, kbuf + off, 1, d,
-                   scores, /*accumulate=*/false);
-    k::ScaleCopy(len, scale, scores, scores);
-    k::SoftmaxRows(1, len, scores, /*add_mask=*/nullptr, scores);
-    k::GemmStrided(1, head_dim, len, scores, len, 1, vbuf + off, d, 1,
-                   out + off, /*accumulate=*/false);
-  }
-}
-
-/// y[rows, out] = x[rows, in] * W + b, the M-row mirror of LinearRowInto:
-/// one GEMM over all rows, then the same per-row bias Add. The GEMM driver
+/// y[rows, out] = x[rows, in] * W + b, the M-row mirror of Linear::Forward
+/// (MatMul then per-row bias Add — identical kernel calls). The GEMM driver
 /// accumulates every output element in its own sequential chain over k, so
-/// each row of `y` is bit-identical to a single-row LinearRowInto call.
+/// each row of `y` is bit-identical to a single-row call.
 void LinearRowsInto(const nn::Linear& lin, std::size_t rows, const float* x,
                     float* y) {
   const auto& w = lin.weight();
@@ -83,8 +43,10 @@ void ProjectRows(const nn::QuantizedLinear* q, const nn::Linear& lin,
   LinearRowsInto(lin, rows, x, y);
 }
 
-/// y[rows, d] = LN(x[rows, d]) row-wise — LayerNormRows normalizes each
-/// row independently, so this equals `rows` LayerNormRow calls.
+/// y[rows, d] = LN(x[rows, d]) row-wise, the mirror of LayerNormLayer::
+/// Forward at inference (same kernel, same 1e-5 eps as Tape::LayerNorm's
+/// default). LayerNormRows normalizes each row independently, so the row
+/// count never changes a row's result.
 void LayerNormRowsInto(const nn::LayerNormLayer& ln, std::size_t rows,
                        std::size_t d, const float* x, float* y) {
   k::LayerNormRows(rows, d, x, ln.gamma()->value().data(),
@@ -92,14 +54,17 @@ void LayerNormRowsInto(const nn::LayerNormLayer& ln, std::size_t rows,
                    /*xhat=*/nullptr, /*inv_std=*/nullptr);
 }
 
-/// `m` query rows against one shared [len, d] K/V pair, all heads — the
-/// M-row mirror of AttentionRow. Per head: one M-row score GEMM, one
-/// softmax over [m, len], one M-row mix GEMM into the dense `mix`
-/// scratch, then a copy of each row into its head-column slice of `out`
-/// (the strided GEMM writes C densely, so the scatter is a copy, not
-/// arithmetic). Row i is bit-identical to AttentionRow on q row i: the
-/// GEMM driver's per-element chains ignore the row count, ScaleCopy is
-/// elementwise, and SoftmaxRows is row-independent.
+/// `m` query rows against one shared [len, d] K/V pair, all heads. `kbuf`/
+/// `vbuf` are [*, d] row-major with the head's columns at offset
+/// h*head_dim, so the score GEMM reads K transposed via strides (brs=1,
+/// bcs=d) and the mix GEMM reads V directly (brs=d, bcs=1) — no copies.
+/// Per head: one M-row score GEMM, the scale (applied after the GEMM,
+/// matching the full path's Scale(MatMul(...)) order), one softmax over
+/// [m, len], one M-row mix GEMM into the dense `mix` scratch, then a copy
+/// of each row into its head-column slice of `out` (the strided GEMM
+/// writes C densely, so the scatter is a copy, not arithmetic). Row i does
+/// not depend on m: the GEMM driver's per-element chains ignore the row
+/// count, ScaleCopy is elementwise, and SoftmaxRows is row-independent.
 void AttentionRows(int num_heads, int head_dim, int d, int len, std::size_t m,
                    const float* q, const float* kbuf, const float* vbuf,
                    float* scores, float* mix, float* out) {
@@ -134,127 +99,20 @@ void KvCache::Reset(int num_layers, int d_model, int capacity, int num_lanes) {
   len_ = 0;
 }
 
-IncrementalDecoder::IncrementalDecoder(const TransformerSeq2Seq* model,
-                                       EncoderMemoryPtr memory)
-    : model_(model), memory_(std::move(memory)) {
+BatchedDecoder::BatchedDecoder(const TransformerSeq2Seq* model,
+                               EncoderMemoryPtr memory, int num_lanes)
+    : model_(model), memory_(std::move(memory)), num_lanes_(num_lanes) {
   SERD_CHECK(model_ != nullptr);
   SERD_CHECK(memory_ != nullptr);
+  SERD_CHECK_GT(num_lanes_, 0);
   SERD_CHECK_EQ(memory_->model_uid, model_->uid())
       << "encoder memory was built by a different model";
   const TransformerConfig& cfg = model_->config();
   SERD_CHECK_EQ(memory_->d_model, cfg.d_model);
   SERD_CHECK_EQ(memory_->cross.size(), model_->decoder_.size());
-  cache_.Reset(cfg.num_layers, cfg.d_model, cfg.max_len);
-  x_.resize(cfg.d_model);
-  normed_.resize(cfg.d_model);
-  q_.resize(cfg.d_model);
-  concat_.resize(cfg.d_model);
-  attn_.resize(cfg.d_model);
-  h_.resize(cfg.d_model);
-  scores_.resize(std::max(cfg.max_len, memory_->mem_len));
-  ff_.resize(cfg.ffn_dim);
-  logits_.resize(cfg.vocab_size);
-}
-
-void IncrementalDecoder::Restart() {
-  const TransformerConfig& cfg = model_->config();
-  cache_.Reset(cfg.num_layers, cfg.d_model, cfg.max_len);
-}
-
-int IncrementalDecoder::len() const { return cache_.len(); }
-
-const float* IncrementalDecoder::Step(int token) {
-  const TransformerConfig& cfg = model_->config_;
-  const int d = cfg.d_model;
-  const int pos = cache_.len();
-  SERD_CHECK_LT(pos, cfg.max_len) << "decode position past max_len";
-  SERD_CHECK(token >= 0 && token < cfg.vocab_size)
-      << "token id out of range: " << token;
-
-  // x = token_embed[token] + pos_embed[pos], row `pos` of the full path's
-  // embedding sum.
-  const float* tok_row = model_->token_embed_->table()->value().data() +
-                         static_cast<std::size_t>(token) * d;
-  const float* pos_row = model_->pos_embed_->table()->value().data() +
-                         static_cast<std::size_t>(pos) * d;
-  k::Add(d, tok_row, pos_row, x_.data());
-
-  const int len = pos + 1;
-  for (std::size_t l = 0; l < model_->decoder_.size(); ++l) {
-    const DecoderLayer& layer = *model_->decoder_[l];
-    // Quantized projection weights for this layer, when attached. The KV
-    // cache itself and everything outside the projections (LN, attention,
-    // embeddings, logits) stays fp32 (DESIGN.md §5m).
-    const QuantizedDecoderLayer* ql =
-        model_->quant_ != nullptr ? &model_->quant_->layers[l] : nullptr;
-
-    // Causal self-attention: project the new row, append its K/V to the
-    // cache, attend over positions [0, pos]. The full path's causal mask
-    // drives the softmax weight of every position > pos to exactly 0
-    // (expf underflow of the -1e9 logits), so restricting the extent to
-    // `len` is bit-exact, not an approximation.
-    const MultiHeadAttention& self = *layer.self_attn_;
-    LayerNormRow(*layer.ln1_, d, x_.data(), normed_.data());
-    ProjectRows(ql ? &ql->self_wq : nullptr, *self.wq_, 1, normed_.data(),
-                q_.data());
-    ProjectRows(ql ? &ql->self_wk : nullptr, *self.wk_, 1, normed_.data(),
-                cache_.k(l) + static_cast<std::size_t>(pos) * d);
-    ProjectRows(ql ? &ql->self_wv : nullptr, *self.wv_, 1, normed_.data(),
-                cache_.v(l) + static_cast<std::size_t>(pos) * d);
-    AttentionRow(self.num_heads_, self.head_dim_, d, len, q_.data(),
-                 cache_.k(l), cache_.v(l), scores_.data(), concat_.data());
-    ProjectRows(ql ? &ql->self_wo : nullptr, *self.wo_, 1, concat_.data(),
-                attn_.data());
-    k::Add(d, x_.data(), attn_.data(), h_.data());
-
-    // Cross-attention over the precomputed encoder K/V.
-    const MultiHeadAttention& cross = *layer.cross_attn_;
-    const EncoderMemory::CrossKv& ckv = memory_->cross[l];
-    LayerNormRow(*layer.ln2_, d, h_.data(), normed_.data());
-    ProjectRows(ql ? &ql->cross_wq : nullptr, *cross.wq_, 1, normed_.data(),
-                q_.data());
-    AttentionRow(cross.num_heads_, cross.head_dim_, d, memory_->mem_len,
-                 q_.data(), ckv.k.data(), ckv.v.data(), scores_.data(),
-                 concat_.data());
-    ProjectRows(ql ? &ql->cross_wo : nullptr, *cross.wo_, 1, concat_.data(),
-                attn_.data());
-    k::Add(d, h_.data(), attn_.data(), h_.data());
-
-    // FFN.
-    LayerNormRow(*layer.ln3_, d, h_.data(), normed_.data());
-    ProjectRows(ql ? &ql->ffn1 : nullptr, *layer.ffn1_, 1, normed_.data(),
-                ff_.data());
-    k::Gelu(ff_.size(), ff_.data(), ff_.data(), nullptr);
-    ProjectRows(ql ? &ql->ffn2 : nullptr, *layer.ffn2_, 1, ff_.data(),
-                attn_.data());
-    k::Add(d, h_.data(), attn_.data(), x_.data());
-  }
-  cache_.Advance();
-
-  LayerNormRow(*model_->final_ln_, d, x_.data(), normed_.data());
-  LinearRowInto(*model_->output_proj_, normed_.data(), logits_.data());
-  return logits_.data();
-}
-
-BatchedDecoder::BatchedDecoder(const TransformerSeq2Seq* model,
-                               std::vector<EncoderMemoryPtr> memories)
-    : model_(model), memories_(std::move(memories)) {
-  SERD_CHECK(model_ != nullptr);
-  SERD_CHECK(!memories_.empty());
-  const TransformerConfig& cfg = model_->config();
-  int max_mem = 0;
-  for (const auto& mem : memories_) {
-    SERD_CHECK(mem != nullptr);
-    SERD_CHECK_EQ(mem->model_uid, model_->uid())
-        << "encoder memory was built by a different model";
-    SERD_CHECK_EQ(mem->d_model, cfg.d_model);
-    SERD_CHECK_EQ(mem->cross.size(), model_->decoder_.size());
-    max_mem = std::max(max_mem, mem->mem_len);
-  }
-  const std::size_t n = memories_.size();
+  const std::size_t n = static_cast<std::size_t>(num_lanes_);
   const std::size_t d = cfg.d_model;
-  cache_.Reset(cfg.num_layers, cfg.d_model, cfg.max_len,
-               static_cast<int>(n));
+  cache_.Reset(cfg.num_layers, cfg.d_model, cfg.max_len, num_lanes_);
   x_.resize(n * d);
   normed_.resize(n * d);
   q_.resize(n * d);
@@ -263,25 +121,11 @@ BatchedDecoder::BatchedDecoder(const TransformerSeq2Seq* model,
   concat_.resize(n * d);
   attn_.resize(n * d);
   h_.resize(n * d);
-  scores_.resize(n * static_cast<std::size_t>(std::max(cfg.max_len, max_mem)));
+  scores_.resize(
+      n * static_cast<std::size_t>(std::max(cfg.max_len, memory_->mem_len)));
   mix_.resize(n * d);
   ff_.resize(n * static_cast<std::size_t>(cfg.ffn_dim));
   logits_.resize(n * static_cast<std::size_t>(cfg.vocab_size));
-  // Candidate decode hands every lane the same memory; detect that and
-  // let cross-attention batch its score/mix GEMMs over all live rows.
-  shared_memory_ = memories_[0].get();
-  for (const auto& mem : memories_) {
-    if (mem.get() != shared_memory_) {
-      shared_memory_ = nullptr;
-      break;
-    }
-  }
-}
-
-void BatchedDecoder::Restart() {
-  const TransformerConfig& cfg = model_->config();
-  cache_.Reset(cfg.num_layers, cfg.d_model, cfg.max_len,
-               static_cast<int>(memories_.size()));
 }
 
 const float* BatchedDecoder::Step(const std::vector<int>& lanes,
@@ -311,16 +155,20 @@ const float* BatchedDecoder::Step(const std::vector<int>& lanes,
   const int len = pos + 1;
   for (std::size_t l = 0; l < model_->decoder_.size(); ++l) {
     const DecoderLayer& layer = *model_->decoder_[l];
-    // Per-layer quantized projections when attached (see the single-lane
-    // Step above) — m-row quantized calls stay bit-identical per row, so
-    // the lockstep/oracle equivalence holds at every precision.
+    // Quantized projection weights for this layer, when attached. The KV
+    // cache itself and everything outside the projections (LN, attention,
+    // embeddings, logits) stays fp32 (DESIGN.md §5m); m-row quantized calls
+    // stay bit-identical per row, so lane batching is exact at every
+    // precision.
     const QuantizedDecoderLayer* ql =
         model_->quant_ != nullptr ? &model_->quant_->layers[l] : nullptr;
 
     // Causal self-attention: project all live rows in one GEMM per weight,
     // land each lane's fresh K/V row in that lane's cache slice, then
-    // attend per lane (attention extents differ only across layers, not
-    // lanes, but the score/mix GEMMs are single-query anyway).
+    // attend per lane over positions [0, pos] of its own cache. The full
+    // path's causal mask drives the softmax weight of every position > pos
+    // to exactly 0 (expf underflow of the -1e9 logits), so restricting the
+    // extent to `len` is bit-exact, not an approximation.
     const MultiHeadAttention& self = *layer.self_attn_;
     LayerNormRowsInto(*layer.ln1_, m, d, x_.data(), normed_.data());
     ProjectRows(ql ? &ql->self_wq : nullptr, *self.wq_, m, normed_.data(),
@@ -335,36 +183,25 @@ const float* BatchedDecoder::Step(const std::vector<int>& lanes,
       float* vrow = cache_.v(l, lane) + static_cast<std::size_t>(pos) * d;
       std::copy(knew_.begin() + i * d, knew_.begin() + (i + 1) * d, krow);
       std::copy(vnew_.begin() + i * d, vnew_.begin() + (i + 1) * d, vrow);
-      AttentionRow(self.num_heads_, self.head_dim_, static_cast<int>(d), len,
-                   q_.data() + i * d, cache_.k(l, lane), cache_.v(l, lane),
-                   scores_.data(), concat_.data() + i * d);
+      AttentionRows(self.num_heads_, self.head_dim_, static_cast<int>(d),
+                    len, 1, q_.data() + i * d, cache_.k(l, lane),
+                    cache_.v(l, lane), scores_.data(), mix_.data(),
+                    concat_.data() + i * d);
     }
     ProjectRows(ql ? &ql->self_wo : nullptr, *self.wo_, m, concat_.data(),
                 attn_.data());
     k::Add(m * d, x_.data(), attn_.data(), h_.data());
 
-    // Cross-attention over the precomputed encoder K/V: one batched
-    // score/mix pass per head when every lane shares the memory, per-lane
-    // single-query passes otherwise.
+    // Cross-attention over the precomputed encoder K/V, shared by every
+    // lane: one batched score/mix pass per head.
     const MultiHeadAttention& cross = *layer.cross_attn_;
+    const EncoderMemory::CrossKv& ckv = memory_->cross[l];
     LayerNormRowsInto(*layer.ln2_, m, d, h_.data(), normed_.data());
     ProjectRows(ql ? &ql->cross_wq : nullptr, *cross.wq_, m, normed_.data(),
                 q_.data());
-    if (shared_memory_ != nullptr) {
-      const EncoderMemory::CrossKv& ckv = shared_memory_->cross[l];
-      AttentionRows(cross.num_heads_, cross.head_dim_, static_cast<int>(d),
-                    shared_memory_->mem_len, m, q_.data(), ckv.k.data(),
-                    ckv.v.data(), scores_.data(), mix_.data(),
-                    concat_.data());
-    } else {
-      for (std::size_t i = 0; i < m; ++i) {
-        const EncoderMemory& mem = *memories_[lanes[i]];
-        const EncoderMemory::CrossKv& ckv = mem.cross[l];
-        AttentionRow(cross.num_heads_, cross.head_dim_, static_cast<int>(d),
-                     mem.mem_len, q_.data() + i * d, ckv.k.data(),
-                     ckv.v.data(), scores_.data(), concat_.data() + i * d);
-      }
-    }
+    AttentionRows(cross.num_heads_, cross.head_dim_, static_cast<int>(d),
+                  memory_->mem_len, m, q_.data(), ckv.k.data(), ckv.v.data(),
+                  scores_.data(), mix_.data(), concat_.data());
     ProjectRows(ql ? &ql->cross_wo : nullptr, *cross.wo_, m, concat_.data(),
                 attn_.data());
     k::Add(m * d, h_.data(), attn_.data(), h_.data());

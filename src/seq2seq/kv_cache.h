@@ -10,10 +10,10 @@ namespace serd {
 class TransformerSeq2Seq;
 
 /// Encoder output captured once per (model, source string) and shared by
-/// every candidate decode of that source (TransformerSeq2Seq::GenerateBatch)
-/// and by rejection-loop retries via the per-thread cache in
-/// StringSynthesisBank. Besides the raw encoder memory it carries the
-/// cross-attention key/value projections of every decoder layer, which
+/// every candidate decode of that source (TransformerSeq2Seq::
+/// GenerateBatchLanes) and by rejection-loop retries via the per-thread
+/// cache in StringSynthesisBank. Besides the raw encoder memory it carries
+/// the cross-attention key/value projections of every decoder layer, which
 /// depend only on the memory and therefore never change across decode
 /// steps or candidates. Immutable after EncodeMemory() returns (always
 /// handled as EncoderMemoryPtr = shared_ptr<const ...>), so sharing across
@@ -36,7 +36,10 @@ using EncoderMemoryPtr = std::shared_ptr<const EncoderMemory>;
 
 /// Decode-step accounting for the obs counters (s2.decode_steps /
 /// s2.decode_cached_steps / s2.decode_quantized_steps). One "step" = one
-/// next-token logits row.
+/// next-token logits row sampled for a candidate that reached the caller.
+/// Rows a lockstep decode computed for lanes an early stop abandoned are
+/// not counted, so the lockstep path and the full re-decode reference
+/// report equal counts for equal token streams.
 struct GenerateStats {
   long steps = 0;            ///< total decode steps taken
   long cached_steps = 0;     ///< steps served by the KV-cached path
@@ -49,26 +52,23 @@ struct GenerateStats {
 /// is fed, and never touched again (causal masking is implicit: only
 /// positions <= t exist in the cache at step t). The cache holds
 /// `num_lanes` independent candidate decodes side by side (lane-major:
-/// lane c's rows live at offset c * capacity * d_model); the single-lane
-/// IncrementalDecoder uses lane 0, the token-lockstep BatchedDecoder one
-/// lane per candidate. All lanes share the length counter because lanes
-/// only ever advance together (a retired lane's rows simply stop being
-/// read).
+/// lane c's rows live at offset c * capacity * d_model), one lane per
+/// BatchedDecoder candidate. All lanes share the length counter because
+/// lanes only ever advance together (a retired lane's rows simply stop
+/// being read).
 class KvCache {
  public:
   /// Sizes the buffers for `num_layers` layers of `num_lanes` lanes of
-  /// `capacity` rows of `d_model` floats and rewinds to length 0. Buffer
-  /// capacity is kept across calls, so restarting for a new candidate
-  /// allocates nothing.
-  void Reset(int num_layers, int d_model, int capacity, int num_lanes = 1);
+  /// `capacity` rows of `d_model` floats and rewinds to length 0.
+  void Reset(int num_layers, int d_model, int capacity, int num_lanes);
 
   int len() const { return len_; }
   void Advance() { ++len_; }
 
-  float* k(int layer, int lane = 0) {
+  float* k(int layer, int lane) {
     return layers_[layer].k.data() + static_cast<std::size_t>(lane) * lane_stride_;
   }
-  float* v(int layer, int lane = 0) {
+  float* v(int layer, int lane) {
     return layers_[layer].v.data() + static_cast<std::size_t>(lane) * lane_stride_;
   }
 
@@ -82,89 +82,43 @@ class KvCache {
   int len_ = 0;
 };
 
-/// Inference-only incremental decoder: each Step() feeds one token and
-/// produces the next-token logits row in O(T) attention work instead of
-/// re-running the whole prefix (O(T^2) per step). Logits are bit-identical
-/// to TransformerSeq2Seq's full re-decode at every step: all matrix work
-/// routes through the same nn/kernels GEMM driver, whose per-element
-/// accumulation chains do not depend on how many rows are computed at
-/// once, and the full path's causal-mask softmax zeros exactly the
-/// positions this cache never stores (see DESIGN.md section 5h).
-class IncrementalDecoder {
+/// Token-lockstep batched decoder: up to `num_lanes` candidate lanes over
+/// one encoder memory advance one position per Step(), with each layer's
+/// LayerNorm, Q/K/V/O projections, cross-attention and FFN running as a
+/// single M-row kernel call over all live lanes. Logits are bit-identical
+/// to TransformerSeq2Seq's full re-decode at every step, lane for lane:
+/// every kernel involved either works row-independently (LayerNormRows,
+/// SoftmaxRows, per-row bias Add) or accumulates each output element in
+/// its own sequential chain over k regardless of how many rows are
+/// computed at once (the GEMM driver), and the full path's causal-mask
+/// softmax zeros exactly the positions the cache never stores (DESIGN.md
+/// sections 5h and 5k). A 1-lane decoder is the plain incremental decode.
+///
+/// Lanes all start at position 0 and retire permanently (EOS / length cap /
+/// early stop); callers pass the currently-live lane subset to each Step(),
+/// so the batch shrinks as candidates finish.
+class BatchedDecoder {
  public:
   /// Binds to `model` (not owned; must outlive the decoder) and the
-  /// encoder memory the decode attends over.
-  IncrementalDecoder(const TransformerSeq2Seq* model, EncoderMemoryPtr memory);
+  /// encoder memory every lane attends over, which must come from `model`.
+  BatchedDecoder(const TransformerSeq2Seq* model, EncoderMemoryPtr memory,
+                 int num_lanes);
 
-  /// Rewinds to position 0 for a fresh candidate over the same memory,
-  /// reusing all buffers.
-  void Restart();
-
-  /// Feeds `token` at the next position and returns the logits row
-  /// [vocab_size] for the token after it. The pointer is valid until the
-  /// next Step()/Restart(). Checks that the position stays below
+  /// Feeds tokens[i] to lane lanes[i] at the shared next position and
+  /// returns the [lanes.size(), vocab_size] logits matrix (row i = lane
+  /// lanes[i]), valid until the next Step(). `lanes` must be a subset of
+  /// [0, num_lanes) with each lane at the shared position — i.e. present
+  /// in every prior Step(). Checks that the position stays below
   /// config().max_len.
-  const float* Step(int token);
+  const float* Step(const std::vector<int>& lanes,
+                    const std::vector<int>& tokens);
 
-  /// Number of tokens fed so far.
-  int len() const;
+  int num_lanes() const { return num_lanes_; }
 
  private:
   const TransformerSeq2Seq* model_;
   EncoderMemoryPtr memory_;
-  KvCache cache_;
-  // Row-sized scratch, reused across steps and candidates.
-  std::vector<float> x_;       // [d] residual stream
-  std::vector<float> normed_;  // [d]
-  std::vector<float> q_;       // [d]
-  std::vector<float> concat_;  // [d] per-head attention outputs
-  std::vector<float> attn_;    // [d] output-projected attention
-  std::vector<float> h_;       // [d] post-self-attention residual
-  std::vector<float> scores_;  // [max(max_len, mem_len)]
-  std::vector<float> ff_;      // [ffn_dim]
-  std::vector<float> logits_;  // [vocab_size]
-};
-
-/// Token-lockstep batched decoder: up to `memories.size()` candidate lanes
-/// advance one position per Step(), with each layer's LayerNorm, Q/K/V/O
-/// projections and FFN running as a single M-row kernel call over all live
-/// lanes instead of M single-row chains. Per-lane results are bit-identical
-/// to running IncrementalDecoder on each lane alone: every kernel involved
-/// either works row-independently (LayerNormRows, SoftmaxRows, per-row bias
-/// Add) or accumulates each output element in its own sequential chain over
-/// k regardless of how many rows are computed at once (the GEMM driver), so
-/// stacking rows never changes any element's rounding (DESIGN.md §5k).
-///
-/// Lanes all start at position 0 and retire permanently (EOS / length cap /
-/// early stop); callers pass the currently-live lane subset to each Step(),
-/// so the batch shrinks as candidates finish. One encoder memory per lane —
-/// lanes may share a memory (candidate decode) or carry different ones
-/// (cross-request batching on a warm pool).
-class BatchedDecoder {
- public:
-  /// Binds to `model` (not owned; must outlive the decoder) and one
-  /// encoder memory per lane. All memories must come from `model`.
-  BatchedDecoder(const TransformerSeq2Seq* model,
-                 std::vector<EncoderMemoryPtr> memories);
-
-  /// Rewinds every lane to position 0, reusing all buffers.
-  void Restart();
-
-  /// Feeds tokens[i] to lane lanes[i] at the shared next position and
-  /// returns the [lanes.size(), vocab_size] logits matrix (row i = lane
-  /// lanes[i]), valid until the next Step()/Restart(). `lanes` must be a
-  /// subset of [0, num_lanes) with each lane at the shared position —
-  /// i.e. present in every prior Step() since the last Restart().
-  const float* Step(const std::vector<int>& lanes,
-                    const std::vector<int>& tokens);
-
-  /// Number of tokens fed to each live lane so far.
-  int len() const { return cache_.len(); }
-  int num_lanes() const { return static_cast<int>(memories_.size()); }
-
- private:
-  const TransformerSeq2Seq* model_;
-  std::vector<EncoderMemoryPtr> memories_;
+  int num_lanes_;
   KvCache cache_;
   // [num_lanes, *] batched scratch, reused across steps; live rows are
   // packed to the front (row i of a Step belongs to lane lanes[i]).
@@ -176,15 +130,10 @@ class BatchedDecoder {
   std::vector<float> concat_;  // [n, d] per-head attention outputs
   std::vector<float> attn_;    // [n, d] output-projected attention
   std::vector<float> h_;       // [n, d] post-self-attention residual
-  std::vector<float> scores_;  // [n, max(max_len, max mem_len)]
+  std::vector<float> scores_;  // [n, max(max_len, mem_len)]
   std::vector<float> mix_;     // [n, head_dim] one head's context rows
   std::vector<float> ff_;      // [n, ffn_dim]
   std::vector<float> logits_;  // [n, vocab_size]
-  /// Set when every lane carries the same EncoderMemory (the candidate-
-  /// decode case): cross-attention then runs M-row score/mix GEMMs per
-  /// head over the shared K/V instead of M single-query passes. Null when
-  /// lanes carry distinct memories (per-lane fallback).
-  const EncoderMemory* shared_memory_ = nullptr;
 };
 
 }  // namespace serd

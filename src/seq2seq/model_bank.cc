@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "runtime/sharded_rng.h"
 #include "text/perturb.h"
 #include "text/token.h"
 
@@ -263,16 +264,12 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
   // penalty. Early exit once a candidate is essentially on target:
   // decoding is the dominant online cost (paper Table IV).
   constexpr double kGoodEnough = 0.03;
-  // A tripped cancel token ends the candidate draw exactly like an
-  // on-target sighting would: the early-stop callback returns false and
-  // the decoder abandons the remaining candidates/steps. The run-level
-  // poll in SerdSynthesizer::Synthesize then discards whatever this call
-  // returns, so cancellation never changes released bytes.
-  auto keep_going = [&] {
-    return min_err > kGoodEnough &&
-           (cancel_ == nullptr || !cancel_->cancelled());
-  };
   // Scores one decoded candidate; returns whether to keep drawing more.
+  // A tripped cancel token ends the candidate draw exactly like an
+  // on-target sighting would: the decoder abandons the remaining
+  // candidates/steps. The run-level poll in SerdSynthesizer::Synthesize
+  // then discards whatever this call returns, so cancellation never
+  // changes released bytes.
   auto consider = [&](const std::vector<int>& out_ids) {
     std::string candidate = vocab_.Decode(out_ids);
     if (!candidate.empty()) {
@@ -291,12 +288,19 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
         }
       }
     }
-    return keep_going();
+    return min_err > kGoodEnough &&
+           (cancel_ == nullptr || !cancel_->cancelled());
   };
+  // One draw from the caller's stream seeds the per-candidate streams
+  // (candidate c samples from DeriveSeed(stream_seed, c)), so the caller's
+  // RNG advances by exactly one draw per synthesis call, independent of
+  // how many candidates or tokens get decoded.
+  const uint64_t stream_seed = rng->Next();
   GenerateStats gstats;
   if (options_.incremental_decode) {
     // Encode once per (model, source) and share across candidates and
-    // rejection-loop retries; decode through the KV cache.
+    // rejection-loop retries; decode every candidate lockstep through the
+    // KV cache.
     EncoderMemoryPtr memory = t_encoder_cache.Lookup(model->uid(), s);
     if (memory == nullptr) {
       memory = model->EncodeMemory(src_ids);
@@ -307,32 +311,22 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
       ++stats_.encoder_cache_hits;
       obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_hits"));
     }
-    if (options_.batched_decode) {
-      // One draw from the shared stream seeds the per-candidate streams;
-      // the caller's RNG advances by exactly one draw per synthesis call,
-      // independent of how many candidates or tokens get decoded.
-      const uint64_t stream_seed = rng->Next();
-      model->GenerateBatchLanes(
-          memory, options_.num_candidates, stream_seed, options_.temperature,
-          [&](int, const std::vector<int>& out_ids) {
-            return consider(out_ids);
-          },
-          /*lockstep=*/options_.batched_lockstep, &gstats);
-    } else {
-      model->GenerateBatch(
-          memory, options_.num_candidates, rng, options_.temperature,
-          [&](int, const std::vector<int>& out_ids) {
-            return consider(out_ids);
-          },
-          /*use_kv_cache=*/true, &gstats);
-    }
+    model->GenerateBatchLanes(
+        memory, options_.num_candidates, stream_seed, options_.temperature,
+        [&](int, const std::vector<int>& out_ids) {
+          return consider(out_ids);
+        },
+        &gstats);
   } else {
-    // Reference implementation: per-candidate encode + full re-decode,
-    // exactly the pre-KV-cache behaviour.
-    for (int c = 0; c < options_.num_candidates && keep_going(); ++c) {
-      auto out_ids =
-          model->Generate(src_ids, rng, options_.temperature, &gstats);
-      consider(out_ids);
+    // Reference: per-candidate encode + full re-decode on the same
+    // per-candidate streams, candidates in order with the same early stop.
+    for (int c = 0; c < options_.num_candidates; ++c) {
+      Rng lane_rng(runtime::ShardedRng::DeriveSeed(
+          stream_seed, static_cast<uint64_t>(c)));
+      if (!consider(model->Generate(src_ids, &lane_rng, options_.temperature,
+                                    &gstats))) {
+        break;
+      }
     }
   }
   stats_.decode_steps += gstats.steps;

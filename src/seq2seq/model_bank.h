@@ -45,29 +45,14 @@ struct StringBankOptions {
   /// discriminator, whose rejection is the paper's case-1 mechanism.
   double min_pool_word_fraction = 0.15;
 
-  /// Decode candidates through the KV-cached incremental path
-  /// (IncrementalDecoder + shared encoder memory + per-thread
-  /// encoder-memory cache). Off = the original per-candidate full
-  /// re-decode, kept as the reference implementation the cached path is
-  /// validated against (serd_cli --reference-decode). Both settings
-  /// produce bit-identical synthesized strings at a fixed seed.
+  /// Decode candidates through the lockstep KV-cached decoder
+  /// (TransformerSeq2Seq::GenerateBatchLanes + shared encoder memory +
+  /// per-thread encoder-memory cache). Off = the fp32 reference: each
+  /// candidate re-encodes the source and re-decodes the whole prefix per
+  /// step (TransformerSeq2Seq::Generate), on the same per-candidate RNG
+  /// streams (serd_cli --reference-decode). At fp32 both settings
+  /// synthesize bit-identical strings at a fixed seed.
   bool incremental_decode = true;
-
-  /// Decode candidates on per-candidate RNG streams (one counter-derived
-  /// stream per candidate index) so all live candidates advance
-  /// token-lockstep through one M-row GEMM per weight per layer per step
-  /// (TransformerSeq2Seq::GenerateBatchLanes). Off by default because the
-  /// per-candidate streams draw differently from the shared-stream path,
-  /// so released bytes change when this flips (DESIGN.md §5k) — quality is
-  /// gated e2e instead (F1 delta vs --reference-decode). Only consulted
-  /// when incremental_decode is on.
-  bool batched_decode = false;
-
-  /// With batched_decode: true = token-lockstep matrix batching, false =
-  /// the lane-sequential per-candidate-stream oracle (same streams, lanes
-  /// decoded one at a time). Both produce bit-identical strings — the
-  /// oracle exists for equivalence tests and the ci.sh diff stage.
-  bool batched_lockstep = true;
 
   /// Numeric format for the KV-cached decode projections (DESIGN.md §5m):
   /// kFp32 is the exact path, kBf16/kInt8 quantize each trained model's
@@ -141,12 +126,6 @@ class StringSynthesisBank {
   bool trained() const { return trained_; }
   const StringBankStats& stats() const { return stats_; }
   const CharVocab& vocab() const { return vocab_; }
-
-  /// Flips the candidate-decode mode after training/restore (serve jobs
-  /// toggle it per request on a warm bank). Affects only how future
-  /// Synthesize calls decode, never the trained weights.
-  void set_batched_decode(bool enabled) { options_.batched_decode = enabled; }
-  bool batched_decode() const { return options_.batched_decode; }
 
   /// Switches the decode precision on a trained/restored bank (serve jobs
   /// toggle it per request on a warm bank). Quantizes every trained

@@ -14,9 +14,9 @@
 namespace serd {
 
 /// Reduced-precision copies of one decoder layer's projection weights —
-/// exactly the per-step GEMMs of the KV-cached decode paths. Cross wk/wv
-/// are absent: they run once per source inside EncodeMemory, not per
-/// step, and stay fp32 (DESIGN.md §5m).
+/// exactly the per-step GEMMs of the KV-cached decode (BatchedDecoder).
+/// Cross wk/wv are absent: they run once per source inside EncodeMemory,
+/// not per step, and stay fp32 (DESIGN.md §5m).
 struct QuantizedDecoderLayer {
   nn::QuantizedLinear self_wq, self_wk, self_wv, self_wo;
   nn::QuantizedLinear cross_wq, cross_wo;
@@ -58,11 +58,9 @@ class MultiHeadAttention : public nn::Module {
                         const std::vector<float>* mask) const;
 
  private:
-  // The incremental decode paths (kv_cache.cc) re-implement this forward
-  // row-at-a-time / lane-batched against cached K/V, and EncodeMemory
-  // precomputes the cross-attention projections; all need the raw
-  // projection layers.
-  friend class IncrementalDecoder;
+  // The KV-cached decoder (kv_cache.cc) re-implements this forward
+  // lane-batched against cached K/V, and EncodeMemory precomputes the
+  // cross-attention projections; both need the raw projection layers.
   friend class BatchedDecoder;
   friend class TransformerSeq2Seq;
 
@@ -96,7 +94,6 @@ class DecoderLayer : public nn::Module {
                         Rng* rng) const;
 
  private:
-  friend class IncrementalDecoder;
   friend class BatchedDecoder;
   friend class TransformerSeq2Seq;
 
@@ -122,19 +119,17 @@ class TransformerSeq2Seq : public nn::Module {
 
   /// Autoregressive sampled decoding: encodes src once, then repeatedly
   /// samples the next token from softmax(logits / temperature) until EOS
-  /// or max_len. Returns the generated ids without BOS/EOS. This is the
-  /// reference implementation: each step re-decodes the whole prefix
-  /// (O(T^2) attention per step). The KV-cached path (GenerateBatch with
-  /// use_kv_cache) is validated against it, step by step and token by
-  /// token.
+  /// or the length cap. Returns the generated ids without BOS/EOS. This is
+  /// the fp32 reference (--reference-decode): each step re-decodes the
+  /// whole prefix (O(T^2) attention per step). GenerateBatchLanes is
+  /// validated against it, step by step and token by token.
   std::vector<int> Generate(const std::vector<int>& src_ids, Rng* rng,
                             float temperature = 1.0f,
                             GenerateStats* stats = nullptr) const;
 
-  /// Candidate callback for GenerateBatch: candidate index and its
+  /// Candidate callback for GenerateBatchLanes: candidate index and its
   /// generated ids (no BOS/EOS). Return false to stop early — remaining
-  /// candidates are not decoded and consume no RNG draws, mirroring the
-  /// caller-side early exit the synthesis bank always had.
+  /// candidates are abandoned and never delivered.
   using CandidateFn = std::function<bool(int, const std::vector<int>&)>;
 
   /// Runs the encoder once (inference mode, no dropout) and captures the
@@ -142,51 +137,26 @@ class TransformerSeq2Seq : public nn::Module {
   /// candidates and rejection-loop retries.
   EncoderMemoryPtr EncodeMemory(const std::vector<int>& src_ids) const;
 
-  /// Decodes up to `num_candidates` sampled candidates sharing `memory`,
-  /// invoking `on_candidate` after each. Candidates are decoded strictly
-  /// sequentially (candidate i finishes before i+1 starts) so the RNG
-  /// consumption order is identical to calling Generate() in a loop; with
-  /// `use_kv_cache` each step goes through IncrementalDecoder, otherwise
-  /// through the full re-decode (the reference path). Both paths sample
-  /// identical tokens at a fixed seed. Returns the number of candidates
-  /// decoded.
-  int GenerateBatch(const EncoderMemoryPtr& memory, int num_candidates,
-                    Rng* rng, float temperature,
-                    const CandidateFn& on_candidate, bool use_kv_cache = true,
-                    GenerateStats* stats = nullptr) const;
-
-  /// Convenience overload: encodes `src_ids` internally.
-  int GenerateBatch(const std::vector<int>& src_ids, int num_candidates,
-                    Rng* rng, float temperature,
-                    const CandidateFn& on_candidate, bool use_kv_cache = true,
-                    GenerateStats* stats = nullptr) const;
-
-  /// Per-candidate-stream decoding: candidate c samples from its own
+  /// The candidate decoder. Candidate c samples from its own
   /// counter-derived Rng seeded with ShardedRng::DeriveSeed(stream_seed, c),
-  /// so no draw-order constraint couples the candidates and they can decode
-  /// token-lockstep. With `lockstep` every live candidate advances one
-  /// position per BatchedDecoder::Step (one M-row GEMM per weight per layer
-  /// per step), lanes retiring on EOS/length-cap so the batch shrinks as
-  /// candidates finish; without it candidates decode one at a time through
-  /// IncrementalDecoder — the per-lane bit-exactness oracle. Both modes
-  /// produce identical per-candidate token sequences, and `on_candidate`
-  /// is always invoked in candidate order (lockstep buffers finished lanes
-  /// until every lower-indexed lane has been delivered). Returning false
-  /// from `on_candidate` abandons all undelivered candidates, mirroring
-  /// GenerateBatch's early exit — per-candidate streams mean the extra
-  /// tokens an abandoned lane decoded in lockstep mode never influence any
-  /// delivered candidate. Released strings differ from the shared-stream
-  /// GenerateBatch path (different RNG draws), which is why the bank keeps
-  /// this behind StringBankOptions::batched_decode (DESIGN.md §5k).
-  /// Returns the number of candidates delivered to `on_candidate`.
+  /// so no draw order couples the candidates and every live candidate
+  /// advances one position per BatchedDecoder::Step (one M-row GEMM per
+  /// weight per layer per step). Lanes retire on EOS or the length cap, so
+  /// the batch shrinks as candidates finish. `on_candidate` is invoked in
+  /// candidate order (finished lanes are buffered until every
+  /// lower-indexed lane has been delivered); returning false abandons all
+  /// undelivered candidates. Candidate c's tokens equal
+  /// Generate(src, &Rng(DeriveSeed(stream_seed, c))) exactly at fp32, and
+  /// never depend on how many sibling lanes decode alongside it
+  /// (DESIGN.md §5k). Returns the number of candidates delivered.
   int GenerateBatchLanes(const EncoderMemoryPtr& memory, int num_candidates,
                          std::uint64_t stream_seed, float temperature,
-                         const CandidateFn& on_candidate, bool lockstep = true,
+                         const CandidateFn& on_candidate,
                          GenerateStats* stats = nullptr) const;
 
   /// Next-token logits after `prefix_ids` (which must start with BOS) via
   /// the full re-decode over `memory` — the reference the equivalence
-  /// tests compare IncrementalDecoder::Step against.
+  /// tests compare BatchedDecoder::Step against.
   std::vector<float> NextLogitsFull(const std::vector<int>& prefix_ids,
                                     const EncoderMemoryPtr& memory) const;
 
@@ -197,8 +167,8 @@ class TransformerSeq2Seq : public nn::Module {
 
   /// One-shot weight quantization for serving: packs every decoder
   /// layer's per-step projection weights (self wq/wk/wv/wo, cross wq/wo,
-  /// ffn1/ffn2) into `precision` and routes the KV-cached decode paths
-  /// through the quantized kernels. kFp32 clears any attached set,
+  /// ffn1/ffn2) into `precision` and routes the KV-cached decode through
+  /// the quantized kernels. kFp32 clears any attached set,
   /// restoring the exact path. Re-quantizing to the precision already
   /// attached is a no-op. Training and the full re-decode reference
   /// (Generate / NextLogitsFull / --reference-decode) always stay fp32.
@@ -215,7 +185,6 @@ class TransformerSeq2Seq : public nn::Module {
   }
 
  private:
-  friend class IncrementalDecoder;
   friend class BatchedDecoder;
 
   nn::TensorPtr Encode(nn::Tape* tape, const std::vector<int>& src_ids,

@@ -29,27 +29,57 @@ obs::Json ErrorJson(const Status& status) {
   return out;
 }
 
-std::string GetString(const obs::Json& j, const std::string& key,
-                      const std::string& fallback) {
-  return j.Has(key) ? j.at(key).AsString() : fallback;
+/// A known request field of the wrong JSON type is an InvalidArgument,
+/// never a silent fallback: `"seed":"7"` must not run seed 0. Unknown
+/// fields are never read, so they stay ignored.
+Status CheckType(const obs::Json& j, const std::string& key,
+                 obs::Json::Type type, const char* type_name) {
+  if (j.at(key).type() == type) return Status::OK();
+  return Status::InvalidArgument("'" + key + "' must be a " + type_name);
 }
 
-double GetNumber(const obs::Json& j, const std::string& key, double fallback) {
-  return j.Has(key) ? j.at(key).AsNumber(fallback) : fallback;
+/// GetString/GetNumber/GetBool read an optional request field into `*out`
+/// (`fallback` when absent), rejecting a value of the wrong type.
+Status GetString(const obs::Json& j, const std::string& key,
+                 const std::string& fallback, std::string* out) {
+  *out = fallback;
+  if (!j.Has(key)) return Status::OK();
+  SERD_RETURN_IF_ERROR(CheckType(j, key, obs::Json::Type::kString, "string"));
+  *out = j.at(key).AsString();
+  return Status::OK();
+}
+
+Status GetNumber(const obs::Json& j, const std::string& key, double fallback,
+                 double* out) {
+  *out = fallback;
+  if (!j.Has(key)) return Status::OK();
+  SERD_RETURN_IF_ERROR(CheckType(j, key, obs::Json::Type::kNumber, "number"));
+  *out = j.at(key).AsNumber();
+  return Status::OK();
+}
+
+Status GetBool(const obs::Json& j, const std::string& key, bool fallback,
+               bool* out) {
+  *out = fallback;
+  if (!j.Has(key)) return Status::OK();
+  SERD_RETURN_IF_ERROR(CheckType(j, key, obs::Json::Type::kBool, "boolean"));
+  *out = j.at(key).AsBool();
+  return Status::OK();
 }
 
 /// GetNumber for a field that is converted to an integer type: the value
-/// must be finite and lie in [lo, hi]. JSON numbers are doubles, and
-/// casting one outside the target type's range (negative into unsigned,
-/// too large, infinite) is undefined behaviour, so the range is checked
-/// before any cast.
-Status GetBoundedNumber(const obs::Json& j, const std::string& key,
-                        double fallback, double lo, double hi, double* out) {
-  const double v = GetNumber(j, key, fallback);
-  if (!std::isfinite(v) || v < lo || v > hi) {
+/// must be a whole number in [lo, hi]. JSON numbers are doubles; casting
+/// one outside the target type's range (negative into unsigned, too large,
+/// infinite) is undefined behaviour, and casting a fraction truncates it
+/// (`"id":2.9` would address job 2), so both are checked before any cast.
+Status GetInteger(const obs::Json& j, const std::string& key, double fallback,
+                  double lo, double hi, double* out) {
+  double v = 0.0;
+  SERD_RETURN_IF_ERROR(GetNumber(j, key, fallback, &v));
+  if (!std::isfinite(v) || v < lo || v > hi || v != std::trunc(v)) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "'%s' must be a finite number in [%.17g, %.17g]",
+                  "'%s' must be a whole number in [%.17g, %.17g]",
                   key.c_str(), lo, hi);
     return Status::InvalidArgument(buf);
   }
@@ -61,8 +91,17 @@ Status GetBoundedNumber(const obs::Json& j, const std::string& key,
 /// a double (2^53): the range accepted for seeds.
 constexpr double kMaxExactInteger = 9007199254740992.0;
 
-bool GetBool(const obs::Json& j, const std::string& key, bool fallback) {
-  return j.Has(key) ? j.at(key).AsBool(fallback) : fallback;
+/// Parses the `id` of a job/cancel request. Absent is an error, unlike
+/// the optional job fields.
+Status ParseJobId(const obs::Json& request, JobId* id) {
+  if (!request.Has("id")) {
+    return Status::InvalidArgument("request is missing 'id'");
+  }
+  double number = 0.0;
+  SERD_RETURN_IF_ERROR(
+      GetInteger(request, "id", 0, 0.0, kMaxExactInteger, &number));
+  *id = static_cast<JobId>(number);
+  return Status::OK();
 }
 
 /// Schemas are static per dataset kind; a minimal generation exposes one
@@ -119,14 +158,10 @@ struct SerdServer::JobParams {
   /// Per-job S3 blocking mode; defaults to the server's job options so a
   /// reused warm entry is always reset to a known mode.
   SerdOptions::BlockingMode blocking = DefaultJobOptions().blocking;
-  /// Per-job candidate-decode mode (lane-batched per-candidate streams);
-  /// defaults to the server's job options and is re-applied to the warm
-  /// entry on every job, like `blocking`.
-  bool batched_decode = DefaultJobOptions().string_bank.batched_decode;
-  /// Per-job decode precision. Unlike `blocking`/`batched_decode` this is
-  /// part of the pool key (fp32 and int8 jobs never share a warm entry),
-  /// so the loader bakes it in and the per-job set_decode_precision is a
-  /// no-op reaffirmation.
+  /// Per-job decode precision. Unlike `blocking` this is part of the pool
+  /// key (fp32 and int8 jobs never share a warm entry), so the loader
+  /// bakes it in and the per-job set_decode_precision is a no-op
+  /// reaffirmation.
   nn::DecodePrecision decode_precision =
       DefaultJobOptions().string_bank.decode_precision;
   /// Wall-clock budget in milliseconds from admission (0 = none); maps to
@@ -196,7 +231,9 @@ void SerdServer::HandleConnection(int fd) {
 }
 
 obs::Json SerdServer::Handle(const obs::Json& request) {
-  const std::string verb = GetString(request, "verb", "");
+  std::string verb;
+  Status verb_ok = GetString(request, "verb", "", &verb);
+  if (!verb_ok.ok()) return ErrorJson(verb_ok);
   if (verb == "health") {
     obs::Json out = obs::Json::Object();
     out.Set("ok", true);
@@ -225,7 +262,8 @@ obs::Json SerdServer::Handle(const obs::Json& request) {
 
 Status SerdServer::ParseJobParams(const obs::Json& request,
                                   JobParams* params) const {
-  params->dataset_name = GetString(request, "dataset", "");
+  SERD_RETURN_IF_ERROR(
+      GetString(request, "dataset", "", &params->dataset_name));
   if (params->dataset_name.empty()) {
     return Status::InvalidArgument("request is missing 'dataset'");
   }
@@ -233,23 +271,25 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument("unknown dataset '" +
                                    params->dataset_name + "'");
   }
-  params->scale = GetNumber(request, "scale", 0.04);
+  SERD_RETURN_IF_ERROR(GetNumber(request, "scale", 0.04, &params->scale));
   if (!std::isfinite(params->scale) || params->scale <= 0.0) {
     return Status::InvalidArgument("'scale' must be positive and finite");
   }
   double number = 0.0;
-  SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "data_seed", 42, 0.0,
-                                        kMaxExactInteger, &number));
+  SERD_RETURN_IF_ERROR(
+      GetInteger(request, "data_seed", 42, 0.0, kMaxExactInteger, &number));
   params->data_seed = static_cast<uint64_t>(number);
   if (request.Has("seed")) {
-    SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "seed", 0, 0.0,
-                                          kMaxExactInteger, &number));
+    SERD_RETURN_IF_ERROR(
+        GetInteger(request, "seed", 0, 0.0, kMaxExactInteger, &number));
     params->has_seed = true;
     params->seed = static_cast<uint64_t>(number);
   }
-  params->tenant = GetString(request, "tenant", "default");
-  params->model_dir = GetString(request, "model_dir", "");
-  const std::string mode = GetString(request, "artifact_mode", "auto");
+  SERD_RETURN_IF_ERROR(
+      GetString(request, "tenant", "default", &params->tenant));
+  SERD_RETURN_IF_ERROR(GetString(request, "model_dir", "", &params->model_dir));
+  std::string mode;
+  SERD_RETURN_IF_ERROR(GetString(request, "artifact_mode", "auto", &mode));
   if (mode == "auto") {
     params->artifact_mode = SerdOptions::ArtifactMode::kAuto;
   } else if (mode == "load") {
@@ -265,33 +305,33 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument(
         "artifact_mode 'load' requires 'model_dir'");
   }
-  params->out_dir = GetString(request, "out", "");
+  SERD_RETURN_IF_ERROR(GetString(request, "out", "", &params->out_dir));
   SERD_RETURN_IF_ERROR(
-      GetBoundedNumber(request, "priority", 0, INT_MIN, INT_MAX, &number));
+      GetInteger(request, "priority", 0, INT_MIN, INT_MAX, &number));
   params->priority = static_cast<int>(number);
-  params->seed_key = GetString(request, "seed_key", "");
-  params->enable_rejection = !GetBool(request, "no_rejection", false);
+  SERD_RETURN_IF_ERROR(GetString(request, "seed_key", "", &params->seed_key));
+  bool no_rejection = false;
+  SERD_RETURN_IF_ERROR(GetBool(request, "no_rejection", false, &no_rejection));
+  params->enable_rejection = !no_rejection;
   params->blocking = options_.job_options.blocking;
-  const std::string blocking = GetString(request, "blocking", "");
+  std::string blocking;
+  SERD_RETURN_IF_ERROR(GetString(request, "blocking", "", &blocking));
   if (!blocking.empty() && !ParseBlockingMode(blocking, &params->blocking)) {
     return Status::InvalidArgument("unknown blocking '" + blocking +
                                    "' (off|qgram|auto)");
   }
-  params->batched_decode = GetBool(request, "batched_decode",
-                                   options_.job_options.string_bank
-                                       .batched_decode);
   params->decode_precision = options_.job_options.string_bank.decode_precision;
-  const std::string precision = GetString(request, "decode_precision", "");
+  std::string precision;
+  SERD_RETURN_IF_ERROR(GetString(request, "decode_precision", "", &precision));
   if (!precision.empty() &&
       !ParseDecodePrecision(precision, &params->decode_precision)) {
     return Status::InvalidArgument("unknown decode_precision '" + precision +
                                    "' (fp32|bf16|int8)");
   }
-  SERD_RETURN_IF_ERROR(GetBoundedNumber(request, "deadline_ms", 0, 0.0,
-                                        kMaxExactInteger, &number));
+  SERD_RETURN_IF_ERROR(GetInteger(request, "deadline_ms", 0, 0.0,
+                                  kMaxExactInteger, &number));
   params->deadline_ms = static_cast<int64_t>(number);
-  params->wait = GetBool(request, "wait", true);
-  return Status::OK();
+  return GetBool(request, "wait", true, &params->wait);
 }
 
 PoolKey SerdServer::KeyFor(const JobParams& params) const {
@@ -372,7 +412,6 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
     SerdSynthesizer* synth = lease->synth();
     synth->set_enable_rejection(params.enable_rejection);
     synth->set_blocking(params.blocking);
-    synth->set_batched_decode(params.batched_decode);
     synth->set_decode_precision(params.decode_precision);
     synth->set_seed(job_seed);
     Result<ERDataset> result = synth->Synthesize(ctx.cancel);
@@ -409,30 +448,20 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
 }
 
 obs::Json SerdServer::HandleJob(const obs::Json& request) {
-  if (!request.Has("id")) {
-    return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
-  }
-  double id_number = 0.0;
-  Status id_ok =
-      GetBoundedNumber(request, "id", 0, 0.0, kMaxExactInteger, &id_number);
-  if (!id_ok.ok()) return ErrorJson(id_ok);
-  const JobId id = static_cast<JobId>(id_number);
-  Result<JobStatus> status = GetBool(request, "wait", false)
-                                 ? scheduler_.Wait(id)
-                                 : scheduler_.Query(id);
+  JobId id = 0;
+  Status parsed = ParseJobId(request, &id);
+  bool wait = false;
+  if (parsed.ok()) parsed = GetBool(request, "wait", false, &wait);
+  if (!parsed.ok()) return ErrorJson(parsed);
+  Result<JobStatus> status = wait ? scheduler_.Wait(id) : scheduler_.Query(id);
   if (!status.ok()) return ErrorJson(status.status());
   return JobStatusJson(*status);
 }
 
 obs::Json SerdServer::HandleCancel(const obs::Json& request) {
-  if (!request.Has("id")) {
-    return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
-  }
-  double id_number = 0.0;
-  Status id_ok =
-      GetBoundedNumber(request, "id", 0, 0.0, kMaxExactInteger, &id_number);
-  if (!id_ok.ok()) return ErrorJson(id_ok);
-  const JobId id = static_cast<JobId>(id_number);
+  JobId id = 0;
+  Status parsed = ParseJobId(request, &id);
+  if (!parsed.ok()) return ErrorJson(parsed);
   Result<JobStatus> status = scheduler_.Cancel(id);
   if (!status.ok()) return ErrorJson(status.status());
   // The post-cancel snapshot, with "ok" reporting whether the *cancel*

@@ -52,7 +52,7 @@ struct ServerOptions {
 ///   stats       -> live metrics snapshot + scheduler/pool gauges
 ///   synthesize  -> submit a job: {"dataset","scale","data_seed","seed",
 ///                  "tenant","model_dir","artifact_mode","out","priority",
-///                  "seed_key","no_rejection","blocking","batched_decode",
+///                  "seed_key","no_rejection","blocking",
 ///                  "decode_precision","deadline_ms","wait"}; with
 ///                  "wait":true (default) blocks until the job finishes
 ///                  and returns its report, else returns the job id
@@ -83,9 +83,12 @@ struct ServerOptions {
 ///                  jobs first)
 ///
 /// Every response carries "ok"; failures add "error" (message) and
-/// "code" (StatusCodeName). A malformed-but-well-framed request (garbage
-/// JSON) gets an InvalidArgument response instead of a hangup, so clients
-/// can tell a bad request from a dead server.
+/// "code" (StatusCodeName). A known field of the wrong JSON type, or a
+/// fractional value for an integer field (seeds, priority, deadline_ms,
+/// id), is rejected as InvalidArgument; unknown fields are ignored. A
+/// malformed-but-well-framed request (garbage JSON) gets an
+/// InvalidArgument response instead of a hangup, so clients can tell a
+/// bad request from a dead server.
 class SerdServer {
  public:
   explicit SerdServer(ServerOptions options);

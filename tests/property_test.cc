@@ -12,6 +12,7 @@
 #include "gmm/o_distribution.h"
 #include "matcher/features.h"
 #include "obs/json.h"
+#include "runtime/sharded_rng.h"
 #include "seq2seq/transformer.h"
 #include "text/edit_distance.h"
 #include "text/qgram.h"
@@ -385,11 +386,11 @@ TEST_P(KvCacheFuzzSweep, CachedLogitsMatchFullRedecode) {
   const int steps = (GetParam() % 3 == 0)
                         ? cfg.max_len
                         : 1 + static_cast<int>(meta.UniformInt(cfg.max_len));
-  IncrementalDecoder dec(&model, memory);
+  BatchedDecoder dec(&model, memory, /*num_lanes=*/1);
   std::vector<int> prefix;
   for (int t = 0; t < steps; ++t) {
     prefix.push_back(static_cast<int>(meta.UniformInt(vocab_size)));
-    const float* cached = dec.Step(prefix.back());
+    const float* cached = dec.Step({0}, {prefix.back()});
     std::vector<float> full = model.NextLogitsFull(prefix, memory);
     ASSERT_EQ(full.size(), static_cast<size_t>(vocab_size));
     for (int v = 0; v < vocab_size; ++v) {
@@ -410,18 +411,17 @@ TEST_P(KvCacheFuzzSweep, CachedSamplingMatchesReferenceGenerate) {
   const int src_len = 1 + static_cast<int>(meta.UniformInt(cfg.max_len + 6));
   auto src_ids = RandomTokenIds(&meta, vocab_size, src_len);
 
-  // Same seed, both decode paths: the sampled token streams must match
+  // Same stream, both decode paths: the sampled token streams must match
   // exactly, or the cache would silently change synthesized datasets.
-  Rng g_ref(GetParam() + 1), g_cached(GetParam() + 1);
+  const uint64_t stream_seed = GetParam() + 1;
+  Rng g_ref(runtime::ShardedRng::DeriveSeed(stream_seed, 0));
   std::vector<int> ref = model.Generate(src_ids, &g_ref);
   std::vector<std::vector<int>> got;
-  model.GenerateBatch(
-      src_ids, 1, &g_cached, 1.0f,
-      [&](int, const std::vector<int>& out_ids) {
-        got.push_back(out_ids);
-        return true;
-      },
-      /*use_kv_cache=*/true);
+  model.GenerateBatchLanes(model.EncodeMemory(src_ids), 1, stream_seed, 1.0f,
+                           [&](int, const std::vector<int>& out_ids) {
+                             got.push_back(out_ids);
+                             return true;
+                           });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], ref);
 }

@@ -4,9 +4,10 @@
 //    analytic Int8ErrorBound; plus the bitwise contracts the decoders
 //    rely on (M-row == M single-row calls, determinism across calls);
 //  - end-to-end quality gate: the dblp-acm pipeline decoded at int8 must
-//    hold matcher F1 within 0.01 and JSD within 0.005 of the fp32 run
-//    (released bytes may differ — the gate is statistical, like the
-//    batched-decode gate).
+//    hold matcher F1 within 0.01 and JSD within 0.05 of the fp32 run
+//    (released bytes may differ, so the gate is statistical).
+// The M-lane vs 1-lane bitwise decoder check at every precision lives in
+// batched_decode_test.
 // Codec round-trips for the "quant" artifact section live here too.
 #include <gtest/gtest.h>
 
@@ -145,7 +146,7 @@ TEST(QuantKernelTest, Bf16WithinRelativeBound) {
 }
 
 TEST(QuantKernelTest, MultiRowCallMatchesSingleRowCallsBitwise) {
-  // The contract BatchedDecoder's lockstep/oracle equivalence rests on:
+  // The contract BatchedDecoder's M-lane == 1-lane equivalence rests on:
   // per-element accumulation chains never depend on m.
   for (DecodePrecision precision :
        {DecodePrecision::kInt8, DecodePrecision::kBf16}) {
@@ -287,31 +288,6 @@ std::vector<std::pair<std::string, std::string>> TinyPairs() {
   return pairs;
 }
 
-TEST(QuantModelTest, LockstepMatchesOracleUnderInt8) {
-  // The lockstep/oracle bitwise equivalence must survive quantization:
-  // both paths route per-step projections through the same quantized
-  // kernels, and those are m-independent.
-  StringBankOptions opts = TinyBankOptions();
-  opts.batched_decode = true;
-  opts.decode_precision = DecodePrecision::kInt8;
-
-  auto run = [&](bool lockstep) {
-    StringBankOptions o = opts;
-    o.batched_lockstep = lockstep;
-    o.train.seed = 11;
-    StringSynthesisBank bank(o, EditSim);
-    Rng rng(17);
-    SERD_CHECK(bank.TrainFromPairs(TinyPairs(), &rng).ok());
-    std::vector<std::string> out;
-    Rng srng(23);
-    for (double target : {0.2, 0.5, 0.8}) {
-      out.push_back(bank.Synthesize("database entity", target, &srng));
-    }
-    return out;
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(QuantModelTest, QuantizedStepsCounterTracksPrecision) {
   StringBankOptions opts = TinyBankOptions();
   opts.decode_precision = DecodePrecision::kInt8;
@@ -424,8 +400,15 @@ SerdOptions GatePipelineOptions() {
 TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   // The acceptance gate: one trained dblp-acm pipeline, decoded at fp32
   // and again at int8 on the same warm models. Released bytes may differ
-  // (perturbed logits flip occasional sampled tokens), so the gate is
-  // statistical: matcher F1 within 0.01 and JSD within 0.005 of fp32.
+  // (perturbed logits flip occasional sampled tokens, and one flip
+  // cascades through the S2 release prefix, so an int8 release is
+  // effectively an independent resample). The gate is therefore
+  // statistical and compares means over kSeeds consecutive job seeds:
+  // matcher F1 within 0.01 and JSD within 0.05 of fp32. A single release
+  // pair cannot carry these bounds — its JSD delta alone ranges from 0.003
+  // to 0.16 across job seeds at this scale with no quantization error
+  // involved — while the mean over 8 pairs keeps a systematic shift of the
+  // bound's size visible.
   auto real = datagen::Generate(DatasetKind::kDblpAcm,
                                 {.seed = 3, .scale = 0.04});
   std::vector<std::vector<std::string>> corpora;
@@ -438,51 +421,58 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   Table background = datagen::BackgroundEntities(DatasetKind::kDblpAcm, 50,
                                                  11);
 
-  SerdSynthesizer synth(real, GatePipelineOptions());
+  const SerdOptions options = GatePipelineOptions();
+  SerdSynthesizer synth(real, options);
   ASSERT_TRUE(synth.Fit(corpora, background).ok());
-
-  auto fp32 = synth.Synthesize();
-  ASSERT_TRUE(fp32.ok()) << fp32.status().ToString();
-  const double fp32_jsd = synth.report().jsd_real_vs_syn;
-  EXPECT_EQ(synth.report().decode_quantized_steps, 0);
-
-  synth.set_decode_precision(nn::DecodePrecision::kInt8);
-  auto int8 = synth.Synthesize();
-  ASSERT_TRUE(int8.ok()) << int8.status().ToString();
-  const double int8_jsd = synth.report().jsd_real_vs_syn;
-  EXPECT_GT(synth.report().decode_quantized_steps, 0);
-
-  // JSD bound note: the S2 loop conditions every entity on the release
-  // prefix, so one flipped token early on cascades and the int8 release is
-  // effectively an independent resample — JSD(O_real, O_syn) then carries
-  // the resampling noise of a GMM fitted on ~200 entities (~0.03 at this
-  // scale; the shipped batched-decode path shifts it by *more* than int8
-  // does on the same fixture). 0.05 is that noise floor, not a statement
-  // about kernel error; the kernel-level bound is the analytic one above,
-  // and the release-scale fp32/int8 JSD pair is recorded per run in
-  // BENCH_generate.json.
-  EXPECT_LE(std::fabs(fp32_jsd - int8_jsd), 0.05)
-      << "fp32 jsd " << fp32_jsd << " int8 jsd " << int8_jsd;
 
   auto spec = SimilaritySpec::FromTables(real.schema(), {&real.a, &real.b});
   FeatureExtractor fx(spec);
-  Rng rng(7);
-  auto real_pairs = BuildLabeledPairs(real, 6.0, &rng);
-  LabeledPairSet real_train, real_test;
-  SplitPairs(real_pairs, 0.4, &rng, &real_train, &real_test);
+  // Scores one release: (JSD of its O-distribution, matcher F1 on real
+  // test pairs). The real split is rebuilt from the same seed per call so
+  // every release is scored on the same pairs.
+  auto score = [&](nn::DecodePrecision precision, uint64_t seed) {
+    synth.set_decode_precision(precision);
+    synth.set_seed(seed);
+    auto released = synth.Synthesize();
+    SERD_CHECK(released.ok()) << released.status().ToString();
+    if (precision == nn::DecodePrecision::kFp32) {
+      EXPECT_EQ(synth.report().decode_quantized_steps, 0);
+    } else {
+      EXPECT_GT(synth.report().decode_quantized_steps, 0);
+    }
+    const double jsd = synth.report().jsd_real_vs_syn;
+    Rng rng(7);
+    auto real_pairs = BuildLabeledPairs(real, 6.0, &rng);
+    LabeledPairSet real_train, real_test;
+    SplitPairs(real_pairs, 0.4, &rng, &real_train, &real_test);
+    auto pairs = synth.LabelPairs(*released, 6.0, &rng);
+    RandomForest matcher;
+    const double f1 = TrainAndEvaluate(&matcher, fx, *released, pairs, fx,
+                                       real, real_test)
+                          .f1;
+    EXPECT_GT(f1, 0.3) << DecodePrecisionName(precision) << " seed " << seed;
+    return std::make_pair(jsd, f1);
+  };
 
-  auto fp32_pairs = synth.LabelPairs(*fp32, 6.0, &rng);
-  auto int8_pairs = synth.LabelPairs(*int8, 6.0, &rng);
-  RandomForest m_fp32, m_int8;
-  auto prf_fp32 = TrainAndEvaluate(&m_fp32, fx, *fp32, fp32_pairs, fx, real,
-                                   real_test);
-  auto prf_int8 = TrainAndEvaluate(&m_int8, fx, *int8, int8_pairs, fx, real,
-                                   real_test);
-
-  EXPECT_GT(prf_fp32.f1, 0.3);
-  EXPECT_GT(prf_int8.f1, 0.3);
-  EXPECT_LE(std::fabs(prf_fp32.f1 - prf_int8.f1), 0.01)
-      << "fp32 f1 " << prf_fp32.f1 << " int8 f1 " << prf_int8.f1;
+  constexpr int kSeeds = 8;
+  double fp32_jsd = 0.0, int8_jsd = 0.0, fp32_f1 = 0.0, int8_f1 = 0.0;
+  for (int i = 0; i < kSeeds; ++i) {
+    const uint64_t seed = options.seed + static_cast<uint64_t>(i);
+    auto [jsd32, f132] = score(nn::DecodePrecision::kFp32, seed);
+    auto [jsd8, f18] = score(nn::DecodePrecision::kInt8, seed);
+    fp32_jsd += jsd32 / kSeeds;
+    fp32_f1 += f132 / kSeeds;
+    int8_jsd += jsd8 / kSeeds;
+    int8_f1 += f18 / kSeeds;
+  }
+  // The JSD bound is the pipeline's resampling noise floor, not a
+  // statement about kernel error; the kernel-level bound is the analytic
+  // one above, and the release-scale fp32/int8 JSD pair is recorded per
+  // run in BENCH_generate.json.
+  EXPECT_LE(std::fabs(fp32_jsd - int8_jsd), 0.05)
+      << "mean fp32 jsd " << fp32_jsd << " int8 jsd " << int8_jsd;
+  EXPECT_LE(std::fabs(fp32_f1 - int8_f1), 0.01)
+      << "mean fp32 f1 " << fp32_f1 << " int8 f1 " << int8_f1;
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "nn/arena.h"
+#include "runtime/sharded_rng.h"
 #include "runtime/thread_pool.h"
 #include "seq2seq/model_bank.h"
 #include "seq2seq/trainer.h"
@@ -118,11 +119,11 @@ TEST(KvCacheTest, StepLogitsMatchFullDecodeBitExact) {
   auto src_ids = vocab.Encode("fedcba");
   EncoderMemoryPtr memory = model.EncodeMemory(src_ids);
 
-  IncrementalDecoder dec(&model, memory);
+  BatchedDecoder dec(&model, memory, /*num_lanes=*/1);
   std::vector<int> prefix = {CharVocab::kBos};
   Rng tok_rng(22);
   for (int step = 0; step < 12; ++step) {
-    const float* inc = dec.Step(prefix.back());
+    const float* inc = dec.Step({0}, {prefix.back()});
     auto full = model.NextLogitsFull(prefix, memory);
     ASSERT_EQ(full.size(), static_cast<size_t>(vocab.size()));
     for (size_t c = 0; c < full.size(); ++c) {
@@ -136,7 +137,7 @@ TEST(KvCacheTest, StepLogitsMatchFullDecodeBitExact) {
   }
 }
 
-TEST(KvCacheTest, GenerateBatchCachedMatchesSerialGenerate) {
+TEST(KvCacheTest, LanesMatchPerCandidateGenerate) {
   CharVocab vocab;
   vocab.Fit({"synthesize records"});
   Rng rng(23);
@@ -144,50 +145,31 @@ TEST(KvCacheTest, GenerateBatchCachedMatchesSerialGenerate) {
   auto src_ids = vocab.Encode("records ok");
 
   constexpr int kCandidates = 4;
-  Rng g1(24), g2(24);
+  constexpr uint64_t kStreamSeed = 24;
   std::vector<std::vector<int>> batch;
   GenerateStats stats;
-  int produced = model.GenerateBatch(
-      src_ids, kCandidates, &g1, 0.9f,
+  int produced = model.GenerateBatchLanes(
+      model.EncodeMemory(src_ids), kCandidates, kStreamSeed, 0.9f,
       [&](int, const std::vector<int>& ids) {
         batch.push_back(ids);
         return true;
       },
-      /*use_kv_cache=*/true, &stats);
+      &stats);
   ASSERT_EQ(produced, kCandidates);
   ASSERT_EQ(batch.size(), static_cast<size_t>(kCandidates));
-  // Same RNG stream, candidate by candidate: the batch path must sample
-  // identical tokens to a plain Generate loop.
+  // Candidate c on its own stream: the lockstep decode must sample
+  // identical tokens to the full re-decode reference on that stream, and
+  // count the same steps.
+  GenerateStats ref_stats;
   for (int c = 0; c < kCandidates; ++c) {
-    EXPECT_EQ(batch[c], model.Generate(src_ids, &g2, 0.9f)) << "candidate "
-                                                            << c;
+    Rng lane_rng(runtime::ShardedRng::DeriveSeed(kStreamSeed, c));
+    EXPECT_EQ(batch[c], model.Generate(src_ids, &lane_rng, 0.9f, &ref_stats))
+        << "candidate " << c;
   }
   EXPECT_GT(stats.steps, 0);
   EXPECT_EQ(stats.steps, stats.cached_steps);
-}
-
-TEST(KvCacheTest, GenerateBatchReferencePathMatchesSerialGenerate) {
-  CharVocab vocab;
-  vocab.Fit({"reference path"});
-  Rng rng(25);
-  TransformerSeq2Seq model(TinyConfig(vocab.size()), &rng);
-  auto src_ids = vocab.Encode("path check");
-
-  Rng g1(26), g2(26);
-  std::vector<std::vector<int>> batch;
-  GenerateStats stats;
-  model.GenerateBatch(
-      src_ids, 3, &g1, 0.9f,
-      [&](int, const std::vector<int>& ids) {
-        batch.push_back(ids);
-        return true;
-      },
-      /*use_kv_cache=*/false, &stats);
-  for (const auto& ids : batch) {
-    EXPECT_EQ(ids, model.Generate(src_ids, &g2, 0.9f));
-  }
-  EXPECT_GT(stats.steps, 0);
-  EXPECT_EQ(stats.cached_steps, 0);
+  EXPECT_EQ(stats.steps, ref_stats.steps);
+  EXPECT_EQ(ref_stats.cached_steps, 0);
 }
 
 TEST(KvCacheTest, CandidateCallbackStopsTheBatchEarly) {
@@ -196,15 +178,13 @@ TEST(KvCacheTest, CandidateCallbackStopsTheBatchEarly) {
   Rng rng(27);
   TransformerSeq2Seq model(TinyConfig(vocab.size()), &rng);
   auto src_ids = vocab.Encode("stop");
-  Rng g(28);
   int seen = 0;
-  int produced = model.GenerateBatch(
-      src_ids, 10, &g, 0.9f,
+  int produced = model.GenerateBatchLanes(
+      model.EncodeMemory(src_ids), 10, /*stream_seed=*/28, 0.9f,
       [&](int, const std::vector<int>&) {
         ++seen;
         return false;  // stop after the first candidate
-      },
-      /*use_kv_cache=*/true, nullptr);
+      });
   EXPECT_EQ(seen, 1);
   EXPECT_EQ(produced, 1);
 }

@@ -1447,9 +1447,9 @@ Result<obs::Json> RawCall(int port, const std::string& payload) {
 }
 
 /// Starts a server and checks that a synthesize request whose `field` is
-/// each of `values` (JSON number text) is rejected as InvalidArgument
-/// naming the field, before any job is admitted.
-void ExpectNumberRejected(const std::string& field,
+/// each of `values` (raw JSON text) is rejected as InvalidArgument naming
+/// the field, before any job is admitted.
+void ExpectFieldRejected(const std::string& field,
                           const std::vector<std::string>& values) {
   serve::ServerOptions options;
   options.workers = 1;
@@ -1484,25 +1484,25 @@ void ExpectNumberRejected(const std::string& field,
 
 TEST(ServerTest, RejectsInfiniteScale) {
   // 1e999 parses to +inf, which a bare `scale <= 0` check lets through.
-  ExpectNumberRejected("scale", {"1e999"});
+  ExpectFieldRejected("scale", {"1e999"});
 }
 
 TEST(ServerTest, RejectsOutOfRangeSeed) {
   // Casting a negative, > 2^53 or infinite double to uint64_t is UB.
-  ExpectNumberRejected("seed", {"-1", "1e19", "1e999"});
+  ExpectFieldRejected("seed", {"-1", "1e19", "1e999"});
 }
 
 TEST(ServerTest, RejectsOutOfRangeDataSeed) {
-  ExpectNumberRejected("data_seed", {"-1", "1e16", "-1e999"});
+  ExpectFieldRejected("data_seed", {"-1", "1e16", "-1e999"});
 }
 
 TEST(ServerTest, RejectsOutOfRangePriority) {
   // priority is an int: anything past INT_MAX / INT_MIN is out of range.
-  ExpectNumberRejected("priority", {"1e10", "-1e10", "1e999"});
+  ExpectFieldRejected("priority", {"1e10", "-1e10", "1e999"});
 }
 
 TEST(ServerTest, RejectsOutOfRangeDeadlineAndJobId) {
-  ExpectNumberRejected("deadline_ms", {"-5", "1e300"});
+  ExpectFieldRejected("deadline_ms", {"-5", "1e300", "2.5"});
   serve::ServerOptions options;
   options.workers = 1;
   serve::SerdServer server(options);
@@ -1513,6 +1513,98 @@ TEST(ServerTest, RejectsOutOfRangeDeadlineAndJobId) {
     ASSERT_TRUE(reply.ok()) << request;
     EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument") << request;
   }
+  server.Stop();
+}
+
+TEST(ServerTest, RejectsFractionalSeed) {
+  // A cast would truncate 7.5 and silently run seed 7.
+  ExpectFieldRejected("seed", {"7.5", "0.001"});
+}
+
+TEST(ServerTest, RejectsFractionalDataSeed) {
+  ExpectFieldRejected("data_seed", {"3.25"});
+}
+
+TEST(ServerTest, RejectsFractionalPriority) {
+  ExpectFieldRejected("priority", {"1.5", "-0.5"});
+}
+
+TEST(ServerTest, RejectsFractionalJobId) {
+  // A cast would truncate 2.9 and query or cancel job 2; the fractional id
+  // must be a bad request, not a lookup (which would answer NotFound).
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  for (const char* request : {R"({"verb":"job","id":2.9})",
+                              R"({"verb":"cancel","id":2.9})"}) {
+    auto reply = RawCall(server.port(), request);
+    ASSERT_TRUE(reply.ok()) << request;
+    EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument") << request;
+    EXPECT_NE(reply->at("error").AsString().find("'id'"), std::string::npos)
+        << reply->Dump();
+  }
+  server.Stop();
+}
+
+TEST(ServerTest, RejectsWrongTypedNumberField) {
+  // "seed":"7" used to parse as has_seed with seed 0.
+  ExpectFieldRejected("seed", {R"("7")", "true", "null"});
+  ExpectFieldRejected("scale", {R"("0.1")"});
+}
+
+TEST(ServerTest, RejectsWrongTypedStringField) {
+  // "decode_precision":8 used to run fp32.
+  ExpectFieldRejected("decode_precision", {"8", "[]"});
+  ExpectFieldRejected("model_dir", {"false"});
+}
+
+TEST(ServerTest, RejectsWrongTypedBoolField) {
+  // "wait":"false" used to block until the job finished.
+  ExpectFieldRejected("wait", {R"("false")", "0"});
+  ExpectFieldRejected("no_rejection", {"1"});
+}
+
+TEST(ServerTest, RetiredBatchedDecodeFieldIsIgnored) {
+  // Candidate decode has one path; a job still carrying the retired
+  // "batched_decode" field releases the same bytes as one without it.
+  std::string model_dir = MakeTempDir("server_retired_field_artifact");
+  ASSERT_TRUE(TrainArtifact(model_dir).ok());
+  serve::ServerOptions options;
+  options.workers = 1;
+  options.job_options = FastOptions();
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+
+  std::vector<std::string> outs;
+  for (bool retired_field : {false, true}) {
+    std::string out = testing::TempDir() + "/serd_serve_retired_" +
+                      (retired_field ? "with" : "without");
+    std::filesystem::remove_all(out);
+    obs::Json req = obs::Json::Object();
+    req.Set("verb", "synthesize");
+    req.Set("dataset", "dblp-acm");
+    req.Set("scale", 0.02);
+    req.Set("data_seed", static_cast<uint64_t>(3));
+    req.Set("seed", static_cast<uint64_t>(5));
+    req.Set("model_dir", model_dir);
+    req.Set("artifact_mode", "load");
+    req.Set("out", out);
+    if (retired_field) req.Set("batched_decode", true);
+    auto reply = client.Call(req);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->at("ok").AsBool()) << reply->Dump();
+    outs.push_back(out);
+  }
+  for (const char* file : {"tableA.csv", "tableB.csv", "matches.csv"}) {
+    auto lhs = obs::ReadTextFile(outs[0] + "/" + file);
+    auto rhs = obs::ReadTextFile(outs[1] + "/" + file);
+    ASSERT_TRUE(lhs.ok() && rhs.ok()) << file;
+    EXPECT_EQ(*lhs, *rhs) << file;
+  }
+  client.Close();
   server.Stop();
 }
 

@@ -32,8 +32,8 @@ inline const char* BenchBuildType() {
 /// library, and must never end up in a BENCH_*.json that tooling
 /// compares against release rows. Debug builds refuse to run unless
 /// SERD_BENCH_ALLOW_DEBUG is set in the environment, and even then the
-/// run is loudly tagged on stderr. Use scripts/bench.sh to configure and
-/// run a Release bench build.
+/// run is loudly tagged on stderr. The default `cmake -B build -S .` tree
+/// is Release and builds every bench target.
 inline void RequireReleaseBuild(const char* bench_name) {
 #ifndef NDEBUG
   const char* allow = std::getenv("SERD_BENCH_ALLOW_DEBUG");
@@ -41,8 +41,9 @@ inline void RequireReleaseBuild(const char* bench_name) {
     std::fprintf(stderr,
                  "%s: refusing to benchmark a debug (assert-enabled) build; "
                  "numbers would not be comparable to release rows.\n"
-                 "Use scripts/bench.sh, or set SERD_BENCH_ALLOW_DEBUG=1 to "
-                 "override for a smoke run.\n",
+                 "Build with -DCMAKE_BUILD_TYPE=Release (the default), or "
+                 "set SERD_BENCH_ALLOW_DEBUG=1 to override for a smoke "
+                 "run.\n",
                  bench_name);
     std::exit(2);
   }

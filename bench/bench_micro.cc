@@ -8,9 +8,10 @@
 // parallel benchmarks carry their thread count as the trailing /N arg).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -20,7 +21,6 @@
 #include "gmm/incremental.h"
 #include "gmm/o_distribution.h"
 #include "nn/arena.h"
-#include "nn/kernels.h"
 #include "nn/modules.h"
 #include "nn/tape.h"
 #include "obs/metrics.h"
@@ -58,17 +58,6 @@ std::vector<Vec> ClusterData(int n, uint64_t seed) {
   }
   return data;
 }
-
-void BM_QgramJaccard(benchmark::State& state) {
-  std::string a = "Adaptable Query Optimization and Evaluation in Temporal "
-                  "Middleware";
-  std::string b = "adaptable query optimization and evaluation in temporal "
-                  "middleware systems";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(QgramJaccard(a, b, 3));
-  }
-}
-BENCHMARK(BM_QgramJaccard);
 
 void BM_Levenshtein(benchmark::State& state) {
   std::string a(static_cast<size_t>(state.range(0)), 'a');
@@ -110,56 +99,6 @@ void BM_CachedSimilarityVector(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedSimilarityVector);
-
-// ---- Kernel-layer rows (single thread; `--kernels` selects these and ----
-// ---- writes BENCH_kernels.json; see main() below).                   ----
-
-/// Random [rows, cols] float matrix for the SGEMM/tape rows.
-std::vector<float> RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> m(rows * cols);
-  for (float& v : m) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  return m;
-}
-
-// SGEMM shapes from the transformer forward pass (TransformerConfig
-// defaults d_model 32, ffn 64, max_len 64; CharVocab ~100 symbols):
-// {T, d, d} attention projections, {T, ffn, d} feed-forward, {T, V, d}
-// output projection, and one square shape well past the L1 tile.
-#define SGEMM_SHAPES            \
-  Args({64, 32, 32})            \
-      ->Args({64, 64, 32})      \
-      ->Args({64, 100, 32})     \
-      ->Args({256, 256, 256})
-
-void BM_SgemmReference(benchmark::State& state) {
-  // The pre-kernel-layer scalar triple loop: the "before" row.
-  const size_t m = state.range(0), n = state.range(1), k = state.range(2);
-  auto a = RandomMatrix(m, k, 21);
-  auto b = RandomMatrix(k, n, 22);
-  std::vector<float> c(m * n, 0.0f);
-  for (auto _ : state) {
-    nn::kernels::ReferenceGemmNN(m, n, k, a.data(), b.data(), c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
-}
-BENCHMARK(BM_SgemmReference)->SGEMM_SHAPES;
-
-void BM_SgemmBlocked(benchmark::State& state) {
-  const size_t m = state.range(0), n = state.range(1), k = state.range(2);
-  auto a = RandomMatrix(m, k, 21);
-  auto b = RandomMatrix(k, n, 22);
-  std::vector<float> c(m * n, 0.0f);
-  for (auto _ : state) {
-    nn::kernels::GemmNN(m, n, k, a.data(), b.data(), c.data(), true);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
-}
-BENCHMARK(BM_SgemmBlocked)->SGEMM_SHAPES;
-
-#undef SGEMM_SHAPES
 
 /// Entity-value-sized strings for the q-gram throughput comparison.
 std::vector<std::string> QgramCorpus() {
@@ -224,16 +163,6 @@ void BM_TapeStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TapeStep)->Arg(0)->Arg(1);
 
-void BM_GmmFitEM(benchmark::State& state) {
-  auto data = ClusterData(static_cast<int>(state.range(0)), 3);
-  GmmFitOptions opts;
-  opts.num_restarts = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Gmm::FitEM(data, 2, opts));
-  }
-}
-BENCHMARK(BM_GmmFitEM)->Arg(200)->Arg(1000);
-
 void BM_IncrementalUpdate(benchmark::State& state) {
   // Paper Eq. 8-9 path: fold a small delta into cached statistics.
   auto data = ClusterData(static_cast<int>(state.range(0)), 5);
@@ -262,18 +191,6 @@ void BM_FullRecomputeBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_FullRecomputeBaseline)->Arg(200)->Arg(1000)->Arg(4000);
 
-void BM_JsdEstimate(benchmark::State& state) {
-  auto data = ClusterData(400, 9);
-  auto m = Gmm::FitEM(data, 2, GmmFitOptions{});
-  ODistribution p(0.3, m.value(), m.value());
-  ODistribution q(0.4, m.value(), m.value());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EstimateJsd(p, q, static_cast<int>(state.range(0)), 1));
-  }
-}
-BENCHMARK(BM_JsdEstimate)->Arg(64)->Arg(256);
-
 void BM_GmmSample(benchmark::State& state) {
   auto data = ClusterData(400, 11);
   auto m = Gmm::FitEM(data, 2, GmmFitOptions{});
@@ -284,10 +201,9 @@ void BM_GmmSample(benchmark::State& state) {
 }
 BENCHMARK(BM_GmmSample);
 
-// ---- Decode rows (single thread; `--generate` selects these and      ----
-// ---- writes BENCH_generate.json; see main() below). Cached vs full   ----
-// ---- re-decode of one candidate, and serial reference vs lockstep    ----
-// ---- generation of a candidate set.                                  ----
+// ---- Decode rows (single thread): cached vs full re-decode of one    ----
+// ---- candidate, and serial reference vs lockstep generation of a     ----
+// ---- candidate set. `--benchmark_filter=Generate` selects them.      ----
 
 /// Shared fixture for the generation rows: a random-weight model over a
 /// realistic character vocabulary and a source string of the requested
@@ -574,54 +490,16 @@ BENCHMARK(BM_ParallelJsdEstimate)
 }  // namespace serd
 
 int main(int argc, char** argv) {
-  // Console table for humans plus BENCH_micro.json for tooling: default
-  // the --benchmark_out flags unless the caller overrides them.
-  //
-  // `--kernels` (or a non-empty SERD_BENCH_KERNELS env var) runs only the
-  // kernel-layer before/after rows (SGEMM reference vs blocked, string vs
-  // hashed q-grams, heap vs arena tape steps) and writes BENCH_kernels.json
-  // instead, so the single-thread kernel numbers live in their own file.
-  //
-  // `--generate` (or SERD_BENCH_GENERATE) likewise selects the decode
-  // rows (KV-cached vs full re-decode, lockstep vs serial candidate
-  // generation) and writes BENCH_generate.json.
+  // Console table for humans plus BENCH_micro.json for tooling, unless the
+  // caller passes its own --benchmark_out. Select rows with
+  // --benchmark_filter (e.g. `Generate` for the decode rows).
   serd::bench::RequireReleaseBuild("bench_micro");
-  auto env_set = [](const char* name) {
-    const char* v = std::getenv(name);
-    return v != nullptr && std::string(v) != "";
-  };
-  std::vector<char*> args;
-  args.push_back(argv[0]);
-  bool kernels_only = env_set("SERD_BENCH_KERNELS");
-  bool generate_only = env_set("SERD_BENCH_GENERATE");
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--kernels") {
-      kernels_only = true;
-      continue;
-    }
-    if (std::string(argv[i]) == "--generate") {
-      generate_only = true;
-      continue;
-    }
-    if (std::string(argv[i]).rfind("--benchmark_out=", 0) == 0) {
-      has_out = true;
-    }
-    args.push_back(argv[i]);
-  }
+  std::vector<char*> args(argv, argv + argc);
   std::string out_flag = "--benchmark_out=BENCH_micro.json";
-  if (kernels_only) out_flag = "--benchmark_out=BENCH_kernels.json";
-  if (generate_only) out_flag = "--benchmark_out=BENCH_generate.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  std::string filter_flag =
-      "--benchmark_filter=Sgemm|QgramJaccard(Strings|Hashed)|TapeStep";
-  if (generate_only) filter_flag = "--benchmark_filter=Generate";
-  if (!has_out) {
+  if (std::none_of(args.begin(), args.end(), [](const char* arg) {
+        return std::string_view(arg).starts_with("--benchmark_out=");
+      })) {
     args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  if (kernels_only || generate_only) {
-    args.push_back(filter_flag.data());
   }
   int ac = static_cast<int>(args.size());
   benchmark::Initialize(&ac, args.data());
@@ -630,20 +508,6 @@ int main(int argc, char** argv) {
   // *benchmark library* (the distro package ships a non-NDEBUG build);
   // what provenance needs is how the serd code under test was compiled.
   benchmark::AddCustomContext("serd_build_type", serd::bench::BenchBuildType());
-  if (generate_only) {
-    // Quality context for the precision rows: the end-to-end gate these
-    // speedups are conditioned on. Numbers are a recorded snapshot from
-    // serd_cli at the stated run (rerun it to refresh); the bound itself
-    // is asserted by QuantPipelineTest.QualityGateInt8WithinBoundOfFp32.
-    benchmark::AddCustomContext(
-        "quant_quality_gate",
-        "dblp-acm scale 0.04 seed 42 (serd_cli): JSD(O_real,O_syn) fp32 "
-        "0.1670 vs int8 0.1830 (512-sample print; 192-sample manifest "
-        "0.42842 vs 0.39792), int8 decode_quantized_steps 52377; mean "
-        "matcher F1 delta <= 0.01 and mean JSD delta <= 0.05 over 8 job "
-        "seeds asserted by "
-        "QuantPipelineTest.QualityGateInt8WithinBoundOfFp32");
-  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

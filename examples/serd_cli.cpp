@@ -33,14 +33,16 @@
 //            [--label-cap N]  (max cross pairs labeled in S3; 0 = all.
 //                              Overrides the 250k default — use 0 with
 //                              --blocking qgram for full-size runs)
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/serd.h"
 #include "data/dataset_io.h"
 #include "datagen/generators.h"
+#include "flag_values.h"
 #include "obs/manifest.h"
 #include "serve/server.h"
 
@@ -81,61 +83,61 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
+        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
         std::exit(2);
       }
       return argv[++i];
     };
     if (arg == "--dataset") {
-      if (!datagen::ParseDatasetKind(next("--dataset"), &kind)) {
+      if (!datagen::ParseDatasetKind(next(), &kind)) {
         return Usage(argv[0]);
       }
       kind_set = true;
     } else if (arg == "--scale") {
-      scale = std::atof(next("--scale"));
+      scale = flags::FiniteDouble(arg, next(), flags::kMinPositive,
+                                  flags::kMaxFinite);
     } else if (arg == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      seed = flags::Unsigned(arg, next(), 0, UINT64_MAX);
     } else if (arg == "--out") {
-      out_dir = next("--out");
+      out_dir = next();
     } else if (arg == "--no-rejection") {
       options.enable_rejection = false;
     } else if (arg == "--alpha") {
-      options.alpha = std::atof(next("--alpha"));
+      options.alpha = flags::FiniteDouble(arg, next(), 0.0, flags::kMaxFinite);
     } else if (arg == "--beta") {
-      options.beta = std::atof(next("--beta"));
+      options.beta = flags::FiniteDouble(arg, next(), 0.0, 1.0);
     } else if (arg == "--buckets") {
-      options.string_bank.num_buckets = std::atoi(next("--buckets"));
+      options.string_bank.num_buckets = flags::Int(arg, next(), 1, INT_MAX);
     } else if (arg == "--candidates") {
-      options.string_bank.num_candidates = std::atoi(next("--candidates"));
+      options.string_bank.num_candidates = flags::Int(arg, next(), 1, INT_MAX);
     } else if (arg == "--threads") {
-      options.threads = std::atoi(next("--threads"));
+      options.threads = flags::Int(arg, next(), 0, flags::kMaxThreads);
     } else if (arg == "--manifest") {
-      manifest_path = next("--manifest");
+      manifest_path = next();
       options.observability = true;
     } else if (arg == "--save-models") {
-      options.model_dir = next("--save-models");
+      options.model_dir = next();
       options.artifact_mode = SerdOptions::ArtifactMode::kSave;
     } else if (arg == "--load-models") {
-      options.model_dir = next("--load-models");
+      options.model_dir = next();
       options.artifact_mode = SerdOptions::ArtifactMode::kLoad;
     } else if (arg == "--reference-decode") {
       options.string_bank.incremental_decode = false;
     } else if (arg == "--decode-precision") {
-      if (!ParseDecodePrecision(next("--decode-precision"),
+      if (!ParseDecodePrecision(next(),
                                 &options.string_bank.decode_precision)) {
         std::fprintf(stderr, "--decode-precision takes fp32|bf16|int8\n");
         return 2;
       }
     } else if (arg == "--blocking") {
-      if (!ParseBlockingMode(next("--blocking"), &options.blocking)) {
+      if (!ParseBlockingMode(next(), &options.blocking)) {
         std::fprintf(stderr, "--blocking takes off|qgram|auto\n");
         return 2;
       }
     } else if (arg == "--label-cap") {
-      options.max_label_pairs =
-          static_cast<size_t>(std::atoll(next("--label-cap")));
+      options.max_label_pairs = flags::Unsigned(arg, next(), 0, SIZE_MAX);
     } else {
       return Usage(argv[0]);
     }

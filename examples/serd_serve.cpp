@@ -15,11 +15,12 @@
 // {"verb":"synthesize","dataset":D,"scale":S,"seed":X,"data_seed":X}
 // produces a byte-identical release to `serd_cli --dataset D --scale S
 // --seed X` (the CI smoke stage verifies this).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "flag_values.h"
 #include "obs/manifest.h"
 #include "serve/server.h"
 
@@ -44,32 +45,30 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
+        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
         std::exit(2);
       }
       return argv[++i];
     };
     if (arg == "--port") {
-      options.port = std::atoi(next("--port"));
+      options.port = flags::Int(arg, next(), 0, 65535);
     } else if (arg == "--port-file") {
-      port_file = next("--port-file");
+      port_file = next();
     } else if (arg == "--workers") {
-      options.workers = std::atoi(next("--workers"));
+      options.workers = flags::Int(arg, next(), 1, flags::kMaxThreads);
     } else if (arg == "--pool-capacity") {
-      options.pool_capacity =
-          static_cast<size_t>(std::atoll(next("--pool-capacity")));
+      options.pool_capacity = flags::Unsigned(arg, next(), 0, SIZE_MAX);
     } else if (arg == "--max-queued") {
-      options.max_queued = static_cast<size_t>(std::atoll(next("--max-queued")));
+      options.max_queued = flags::Unsigned(arg, next(), 0, SIZE_MAX);
     } else if (arg == "--max-inflight") {
       options.max_inflight_per_tenant =
-          static_cast<size_t>(std::atoll(next("--max-inflight")));
+          flags::Unsigned(arg, next(), 0, SIZE_MAX);
     } else if (arg == "--max-entities") {
-      options.max_job_entities =
-          static_cast<size_t>(std::atoll(next("--max-entities")));
+      options.max_job_entities = flags::Unsigned(arg, next(), 0, SIZE_MAX);
     } else if (arg == "--seed") {
-      options.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      options.seed = flags::Unsigned(arg, next(), 0, UINT64_MAX);
     } else {
       return Usage(argv[0]);
     }

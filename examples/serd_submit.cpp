@@ -28,11 +28,13 @@
 //               [--decode-precision fp32|bf16|int8]
 //               [--deadline-ms N] [--no-wait] [--id N]
 //               [--retries N] [--backoff-ms N]
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/strings.h"
+#include "flag_values.h"
 #include "obs/manifest.h"
 #include "serve/wire.h"
 
@@ -72,57 +74,61 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
+        std::fprintf(stderr, "%s requires a value\n", arg.c_str());
         std::exit(2);
       }
       return argv[++i];
     };
     if (arg == "--port") {
-      port = std::atoi(next("--port"));
+      port = flags::Int(arg, next(), 1, 65535);
     } else if (arg == "--port-file") {
-      port_file = next("--port-file");
+      port_file = next();
     } else if (arg == "--verb") {
-      request.Set("verb", next("--verb"));
+      request.Set("verb", next());
     } else if (arg == "--dataset") {
-      request.Set("dataset", next("--dataset"));
+      request.Set("dataset", next());
     } else if (arg == "--scale") {
-      request.Set("scale", std::atof(next("--scale")));
+      request.Set("scale",
+                  flags::FiniteDouble(arg, next(), flags::kMinPositive,
+                                      flags::kMaxFinite));
     } else if (arg == "--data-seed") {
       request.Set("data_seed",
-                  static_cast<uint64_t>(std::atoll(next("--data-seed"))));
+                  flags::Unsigned(arg, next(), 0, flags::kMaxExactInteger));
     } else if (arg == "--seed") {
-      request.Set("seed", static_cast<uint64_t>(std::atoll(next("--seed"))));
+      request.Set("seed",
+                  flags::Unsigned(arg, next(), 0, flags::kMaxExactInteger));
     } else if (arg == "--tenant") {
-      request.Set("tenant", next("--tenant"));
+      request.Set("tenant", next());
     } else if (arg == "--model-dir") {
-      request.Set("model_dir", next("--model-dir"));
+      request.Set("model_dir", next());
     } else if (arg == "--artifact-mode") {
-      request.Set("artifact_mode", next("--artifact-mode"));
+      request.Set("artifact_mode", next());
     } else if (arg == "--out") {
-      request.Set("out", next("--out"));
+      request.Set("out", next());
     } else if (arg == "--priority") {
-      request.Set("priority", std::atoi(next("--priority")));
+      request.Set("priority", flags::Int(arg, next(), INT_MIN, INT_MAX));
     } else if (arg == "--seed-key") {
-      request.Set("seed_key", next("--seed-key"));
+      request.Set("seed_key", next());
     } else if (arg == "--blocking") {
-      request.Set("blocking", next("--blocking"));
+      request.Set("blocking", next());
     } else if (arg == "--decode-precision") {
-      request.Set("decode_precision", next("--decode-precision"));
+      request.Set("decode_precision", next());
     } else if (arg == "--no-rejection") {
       request.Set("no_rejection", true);
     } else if (arg == "--deadline-ms") {
       request.Set("deadline_ms",
-                  static_cast<uint64_t>(std::atoll(next("--deadline-ms"))));
+                  flags::Unsigned(arg, next(), 0, flags::kMaxExactInteger));
     } else if (arg == "--no-wait") {
       request.Set("wait", false);
     } else if (arg == "--id") {
-      request.Set("id", static_cast<uint64_t>(std::atoll(next("--id"))));
+      request.Set("id",
+                  flags::Unsigned(arg, next(), 0, flags::kMaxExactInteger));
     } else if (arg == "--retries") {
-      retry.max_retries = std::atoi(next("--retries"));
+      retry.max_retries = flags::Int(arg, next(), 0, INT_MAX);
     } else if (arg == "--backoff-ms") {
-      retry.base_backoff_ms = std::atoi(next("--backoff-ms"));
+      retry.base_backoff_ms = flags::Int(arg, next(), 0, INT_MAX);
     } else {
       return Usage(argv[0]);
     }
@@ -135,7 +141,7 @@ int main(int argc, char** argv) {
                    text.status().ToString().c_str());
       return 1;
     }
-    port = std::atoi(text->c_str());
+    port = flags::Int("--port-file", Trim(*text).c_str(), 1, 65535);
   }
   if (port <= 0) {
     std::fprintf(stderr, "serd_submit: no --port / --port-file given\n");

@@ -50,7 +50,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # that leaves the pattern matching nothing fails instead of passing.
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
     --no-tests=error \
-    -R 'KvCacheFuzzSweep|KvCacheTest|BatchedDecodeTest|BatchedBankTest|IncrementalAndReferenceDecodeSynthesizeIdentically'
+    -R 'KvCacheFuzzSweep|KvCacheTest|BatchedDecodeTest|IncrementalAndReferenceDecodeSynthesizeIdentically'
 
   echo "==> ctest (quantized decode quality gate under ASan)"
   # The int8/bf16 kernel tolerance sweeps, the quantized-artifact codec
@@ -170,6 +170,24 @@ counters = json.dumps(man)
 assert '"s2.decode_quantized_steps"' in counters, \
     "manifest lost the s2.decode_quantized_steps counter"
 EOF
+
+  echo "==> smoke: a malformed numeric flag is a usage error (exit 2)"
+  # Checked flag parsing: `--scale abc` must not release at scale 0, and
+  # `--id 2.9` must not ask about job 2. serd_submit rejects the flag
+  # before connecting, so nothing listening on port 1 yields 2, not 6.
+  set +e
+  "$CLI" --dataset restaurant --scale abc --out "$SMOKE_DIR/bad_scale" \
+    2> "$SMOKE_DIR/bad_scale.txt"
+  BAD_SCALE_CODE=$?
+  build/examples/serd_submit --port 1 --verb cancel --id 2.9 \
+    2> "$SMOKE_DIR/bad_id.txt"
+  BAD_ID_CODE=$?
+  set -e
+  [[ "$BAD_SCALE_CODE" == 2 ]]
+  [[ ! -e "$SMOKE_DIR/bad_scale" ]]   # nothing released
+  grep -q -- '--scale' "$SMOKE_DIR/bad_scale.txt"
+  [[ "$BAD_ID_CODE" == 2 ]]
+  grep -q -- '--id' "$SMOKE_DIR/bad_id.txt"
 fi
 
 if [[ "${SKIP_SERVE:-0}" != "1" ]]; then

@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -62,6 +64,46 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+namespace {
+
+/// std::from_chars over all of `text`, then the range check. from_chars
+/// already refuses leading whitespace and '+', a '-' on unsigned types,
+/// and values that overflow T (1e400, 2^64 as int64).
+template <typename T>
+bool ParseNumber(std::string_view text, T lo, T hi, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseInt(std::string_view text, int64_t lo, int64_t hi, int64_t* out) {
+  return ParseNumber(text, lo, hi, out);
+}
+
+bool ParseUnsigned(std::string_view text, uint64_t lo, uint64_t hi,
+                   uint64_t* out) {
+  return ParseNumber(text, lo, hi, out);
+}
+
+bool ParseFiniteDouble(std::string_view text, double lo, double hi,
+                       double* out) {
+  // from_chars accepts "nan", "inf" and "infinity"; the range test rejects
+  // NaN, and the finiteness test the infinities even for an unbounded hi.
+  double value = 0.0;
+  if (!ParseNumber(text, lo, hi, &value) || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -372,7 +372,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   // Bank decode stats accumulate across runs; snapshot them so the report
   // carries this run's delta.
   struct BankDecodeTotals {
-    long steps = 0, cached = 0, quantized = 0, hits = 0, misses = 0;
+    long steps = 0, cached = 0, quantized = 0;
   };
   auto bank_decode_totals = [this] {
     BankDecodeTotals t;
@@ -382,8 +382,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       t.steps += s.decode_steps;
       t.cached += s.decode_cached_steps;
       t.quantized += s.decode_quantized_steps;
-      t.hits += s.encoder_cache_hits;
-      t.misses += s.encoder_cache_misses;
     }
     return t;
   };
@@ -866,8 +864,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   report.decode_cached_steps = decode_after.cached - decode_before.cached;
   report.decode_quantized_steps =
       decode_after.quantized - decode_before.quantized;
-  report.encoder_cache_hits = decode_after.hits - decode_before.hits;
-  report.encoder_cache_misses = decode_after.misses - decode_before.misses;
   report.online_seconds = timer.Seconds();
   if (metrics_ != nullptr) {
     metrics_->gauge("run.online_seconds")->Set(report.online_seconds);
@@ -947,10 +943,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
           static_cast<int64_t>(report_.decode_cached_steps));
   rep.Set("decode_quantized_steps",
           static_cast<int64_t>(report_.decode_quantized_steps));
-  rep.Set("encoder_cache_hits",
-          static_cast<int64_t>(report_.encoder_cache_hits));
-  rep.Set("encoder_cache_misses",
-          static_cast<int64_t>(report_.encoder_cache_misses));
   rep.Set("s3_blocked", report_.s3_blocked);
   rep.Set("s3_total_pairs", static_cast<int64_t>(report_.s3_total_pairs));
   rep.Set("s3_candidate_pairs",

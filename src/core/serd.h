@@ -147,16 +147,14 @@ struct SerdReport {
   long jsd_evaluations = 0;      ///< EstimateJsd calls during Synthesize()
   /// String-bank decode accounting for this run (summed over the text
   /// columns' banks): next-token logits rows sampled for delivered
-  /// candidates, how many went through the KV-cached decoder, and
-  /// encoder-memory cache traffic. cached = 0 when running with
+  /// candidates and how many went through the KV-cached decoder.
+  /// cached = 0 when running with
   /// incremental_decode off (--reference-decode).
   long decode_steps = 0;
   long decode_cached_steps = 0;
   /// Cached steps whose projections ran through the int8/bf16 kernels
   /// (0 under fp32 decode; == decode_cached_steps under int8/bf16).
   long decode_quantized_steps = 0;
-  long encoder_cache_hits = 0;
-  long encoder_cache_misses = 0;
   /// --- S3 labeling accounting. ---
   /// True when this run's S3 used the q-gram blocking index.
   bool s3_blocked = false;
@@ -227,8 +225,6 @@ struct SerdReport {
     decode_steps = 0;
     decode_cached_steps = 0;
     decode_quantized_steps = 0;
-    encoder_cache_hits = 0;
-    encoder_cache_misses = 0;
     s3_blocked = false;
     s3_total_pairs = 0;
     s3_candidate_pairs = 0;

@@ -52,8 +52,7 @@ void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
 
 /// The pre-kernel-layer scalar triple loop (with its dense-hostile
 /// zero-skip branch), kept verbatim as the correctness reference for the
-/// equivalence tests and as the "before" row of bench_micro's SGEMM
-/// comparison. C[m,n] += A[m,k] * B[k,n].
+/// equivalence tests. C[m,n] += A[m,k] * B[k,n].
 void ReferenceGemmNN(std::size_t m, std::size_t n, std::size_t k,
                      const float* a, const float* b, float* c);
 

@@ -11,8 +11,7 @@ class TransformerSeq2Seq;
 
 /// Encoder output captured once per (model, source string) and shared by
 /// every candidate decode of that source (TransformerSeq2Seq::
-/// GenerateBatchLanes) and by rejection-loop retries via the per-thread
-/// cache in StringSynthesisBank. Besides the raw encoder memory it carries
+/// GenerateBatchLanes). Besides the raw encoder memory it carries
 /// the cross-attention key/value projections of every decoder layer, which
 /// depend only on the memory and therefore never change across decode
 /// steps or candidates. Immutable after EncodeMemory() returns (always

@@ -199,51 +199,6 @@ double PoolWordFraction(const std::string& candidate,
   return static_cast<double>(known) / static_cast<double>(words.size());
 }
 
-/// Per-thread LRU of encoder memories keyed by (model uid, source
-/// string). The S2 rejection loop retries the same entity several times
-/// and each retry re-synthesizes from the same source strings, so a
-/// handful of entries absorbs nearly all re-encodes. Keying by the
-/// process-unique model uid (not the pointer) means a freed model's
-/// address being reused can never alias an entry; being thread-local, the
-/// cache affects only speed, never values, so results stay deterministic
-/// at any thread count.
-struct EncoderMemoryCache {
-  struct Entry {
-    std::uint64_t uid = 0;
-    std::string src;
-    EncoderMemoryPtr mem;
-    std::uint64_t stamp = 0;
-  };
-  static constexpr size_t kCapacity = 8;
-
-  std::vector<Entry> entries;
-  std::uint64_t tick = 0;
-
-  EncoderMemoryPtr Lookup(std::uint64_t uid, const std::string& src) {
-    for (auto& e : entries) {
-      if (e.uid == uid && e.src == src) {
-        e.stamp = ++tick;
-        return e.mem;
-      }
-    }
-    return nullptr;
-  }
-
-  void Insert(std::uint64_t uid, const std::string& src,
-              EncoderMemoryPtr mem) {
-    if (entries.size() < kCapacity) {
-      entries.push_back({uid, src, std::move(mem), ++tick});
-      return;
-    }
-    auto oldest = std::min_element(
-        entries.begin(), entries.end(),
-        [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
-    *oldest = {uid, src, std::move(mem), ++tick};
-  }
-};
-
-thread_local EncoderMemoryCache t_encoder_cache;
-
 }  // namespace
 
 std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
@@ -298,21 +253,11 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
   const uint64_t stream_seed = rng->Next();
   GenerateStats gstats;
   if (options_.incremental_decode) {
-    // Encode once per (model, source) and share across candidates and
-    // rejection-loop retries; decode every candidate lockstep through the
-    // KV cache.
-    EncoderMemoryPtr memory = t_encoder_cache.Lookup(model->uid(), s);
-    if (memory == nullptr) {
-      memory = model->EncodeMemory(src_ids);
-      t_encoder_cache.Insert(model->uid(), s, memory);
-      ++stats_.encoder_cache_misses;
-      obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_misses"));
-    } else {
-      ++stats_.encoder_cache_hits;
-      obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_hits"));
-    }
+    // Encode once, share the memory across candidates, and decode every
+    // candidate lockstep through the KV cache.
     model->GenerateBatchLanes(
-        memory, options_.num_candidates, stream_seed, options_.temperature,
+        model->EncodeMemory(src_ids), options_.num_candidates, stream_seed,
+        options_.temperature,
         [&](int, const std::vector<int>& out_ids) {
           return consider(out_ids);
         },

@@ -46,8 +46,8 @@ struct StringBankOptions {
   double min_pool_word_fraction = 0.15;
 
   /// Decode candidates through the lockstep KV-cached decoder
-  /// (TransformerSeq2Seq::GenerateBatchLanes + shared encoder memory +
-  /// per-thread encoder-memory cache). Off = the fp32 reference: each
+  /// (TransformerSeq2Seq::GenerateBatchLanes over one encoder memory per
+  /// call). Off = the fp32 reference: each
   /// candidate re-encodes the source and re-decodes the whole prefix per
   /// step (TransformerSeq2Seq::Generate), on the same per-candidate RNG
   /// streams (serd_cli --reference-decode). At fp32 both settings
@@ -67,8 +67,7 @@ struct StringBankOptions {
   /// Observability sink (not owned; nullptr = off): counters
   /// s2.bank_synth_calls / s2.bank_fallback_calls / s2.bank_refined_calls
   /// / s2.decode_steps / s2.decode_cached_steps /
-  /// s2.decode_quantized_steps /
-  /// s2.encoder_cache_hits / s2.encoder_cache_misses,
+  /// s2.decode_quantized_steps,
   /// histogram s2.bank_bucket (index of the model actually used).
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -91,8 +90,6 @@ struct StringBankStats {
   long decode_steps = 0;         ///< next-token logits rows computed
   long decode_cached_steps = 0;  ///< of those, served by the KV cache
   long decode_quantized_steps = 0;  ///< of those, int8/bf16 projections
-  long encoder_cache_hits = 0;   ///< encoder memory reused from the cache
-  long encoder_cache_misses = 0; ///< encoder memory computed fresh
 };
 
 /// The paper's string synthesizer: k transformer models M_1..M_k, one per

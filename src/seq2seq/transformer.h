@@ -160,9 +160,9 @@ class TransformerSeq2Seq : public nn::Module {
   std::vector<float> NextLogitsFull(const std::vector<int>& prefix_ids,
                                     const EncoderMemoryPtr& memory) const;
 
-  /// Process-unique id, assigned at construction. Keys the per-thread
-  /// encoder-memory caches so a freed model's address being reused can
-  /// never alias a cache entry.
+  /// Process-unique id, assigned at construction. An EncoderMemory records
+  /// the uid of the model that built it, so decoding it with any other
+  /// model (even one reusing a freed model's address) fails a check.
   std::uint64_t uid() const { return uid_; }
 
   /// One-shot weight quantization for serving: packs every decoder

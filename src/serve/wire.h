@@ -95,7 +95,7 @@ struct RetryOptions {
 
 /// Synchronous loopback client: one connection, Call() sends a request
 /// frame and blocks for the response frame. Used by serd_submit, the CI
-/// smoke stage, tests, and bench_serve.
+/// smoke stage, tests, and the serve-mixed benchmark workload.
 class ServeClient {
  public:
   ServeClient() = default;

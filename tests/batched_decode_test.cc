@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,8 +15,6 @@
 #include "runtime/sharded_rng.h"
 #include "seq2seq/model_bank.h"
 #include "seq2seq/transformer.h"
-#include "text/qgram.h"
-#include "text/token.h"
 
 namespace serd {
 namespace {
@@ -214,106 +211,6 @@ TEST(BatchedDecodeTest, DistinctStreamSeedsDecorrelate) {
   auto a = CollectLanes(model, memory, 4, 1);
   auto b = CollectLanes(model, memory, 4, 2);
   EXPECT_NE(a, b);
-}
-
-// ------------------------------------------------------- bank fixtures
-
-StringBankOptions FastBankOptions() {
-  StringBankOptions opts;
-  opts.num_buckets = 4;
-  opts.num_candidates = 3;
-  opts.transformer.d_model = 16;
-  opts.transformer.num_heads = 2;
-  opts.transformer.num_layers = 1;
-  opts.transformer.ffn_dim = 24;
-  opts.transformer.max_len = 32;
-  opts.train.epochs = 1;
-  opts.train.batch_size = 8;
-  opts.train.dp.enabled = true;
-  opts.train.dp.noise_multiplier = 0.6;
-  opts.max_pairs_per_bucket = 24;
-  opts.min_pairs_per_bucket = 4;
-  opts.random_pair_samples = 150;
-  return opts;
-}
-
-double Sim(const std::string& a, const std::string& b) {
-  return QgramJaccard(a, b);
-}
-
-// --------------------------------------------- encoder-memory LRU eviction
-
-/// Builds a trained-looking bank via RestoreTrained with a random-weight
-/// model in every bucket — enough to drive the encoder-memory cache, which
-/// only depends on (model uid, source string).
-std::unique_ptr<StringSynthesisBank> AllBucketsTrainedBank(
-    const std::vector<std::string>& corpus) {
-  StringBankOptions opts = FastBankOptions();
-  auto bank = std::make_unique<StringSynthesisBank>(opts, Sim);
-
-  CharVocab vocab;
-  vocab.Fit(corpus);
-  std::vector<std::string> pool;
-  for (const auto& s : corpus) {
-    for (auto& w : WordTokens(s)) pool.push_back(std::move(w));
-  }
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-
-  TransformerConfig cfg = opts.transformer;
-  cfg.vocab_size = vocab.size();
-  const size_t k = static_cast<size_t>(opts.num_buckets);
-  std::vector<std::unique_ptr<TransformerSeq2Seq>> models(k);
-  for (size_t b = 0; b < k; ++b) {
-    Rng rng(200 + b);
-    models[b] = std::make_unique<TransformerSeq2Seq>(cfg, &rng);
-  }
-  StringBankStats stats;
-  stats.pairs_per_bucket.assign(k, 0);
-  stats.bucket_trained.assign(k, true);
-  stats.bucket_hits.assign(k, 0);
-  SERD_CHECK(bank->RestoreTrained(std::move(vocab), corpus, std::move(pool),
-                                  std::move(models), std::move(stats))
-                 .ok());
-  return bank;
-}
-
-TEST(BatchedBankTest, EncoderMemoryCacheEvictsLruAtNinthSource) {
-  // Nine distinct sources against the 8-entry per-thread cache. All
-  // sources share one word so every bucket routing stays stable; the
-  // target 0.5 keeps every call on the same (bucket 2) model, making one
-  // cache lookup per Synthesize call.
-  std::vector<std::string> sources;
-  for (int i = 1; i <= 9; ++i) {
-    sources.push_back("record source number " + std::to_string(i));
-  }
-  auto bank = AllBucketsTrainedBank(sources);
-  Rng rng(91);
-  const double target = 0.5;
-
-  // Prime: eight distinct sources fill the cache (and flush whatever
-  // earlier tests on this thread left in it) — all misses.
-  const auto& stats = bank->stats();
-  for (int i = 0; i < 8; ++i) bank->Synthesize(sources[i], target, &rng);
-  const long hits_primed = stats.encoder_cache_hits;
-  const long misses_primed = stats.encoder_cache_misses;
-  EXPECT_GE(misses_primed, 8);
-
-  // s1 again: cache hit, and its stamp is refreshed (s2 becomes LRU).
-  bank->Synthesize(sources[0], target, &rng);
-  EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 1);
-  EXPECT_EQ(stats.encoder_cache_misses, misses_primed);
-
-  // The ninth distinct source misses and evicts exactly the LRU entry.
-  bank->Synthesize(sources[8], target, &rng);
-  EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 1);
-  EXPECT_EQ(stats.encoder_cache_misses, misses_primed + 1);
-
-  // s2 was the LRU victim: miss. s1 survived: hit.
-  bank->Synthesize(sources[1], target, &rng);
-  EXPECT_EQ(stats.encoder_cache_misses, misses_primed + 2);
-  bank->Synthesize(sources[0], target, &rng);
-  EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 2);
 }
 
 // --------------------------------------------------- end-to-end pipeline

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/csv.h"
@@ -226,6 +228,82 @@ TEST(StringsTest, StartsEndsWith) {
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.239), "1.24");
+}
+
+// Every malformed spelling must be rejected by every variant, leaving the
+// output untouched (the sentinel survives).
+TEST(StringsTest, ParseNumbersRejectMalformedText) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const char* text : {"", "abc", "7x", " 7", "7 ", "+7", "0x10", "nan",
+                           "inf", "-inf", "1e400", "-"}) {
+    int64_t i = -5;
+    uint64_t u = 5;
+    double d = -5.0;
+    EXPECT_FALSE(ParseInt(text, INT64_MIN, INT64_MAX, &i)) << text;
+    EXPECT_FALSE(ParseUnsigned(text, 0, UINT64_MAX, &u)) << text;
+    EXPECT_FALSE(ParseFiniteDouble(text, -kInf, kInf, &d)) << text;
+    EXPECT_EQ(i, -5);
+    EXPECT_EQ(u, 5u);
+    EXPECT_EQ(d, -5.0);
+  }
+}
+
+TEST(StringsTest, ParseIntRejectsFractionsOverflowAndRange) {
+  int64_t v = 0;
+  EXPECT_FALSE(ParseInt("2.9", INT64_MIN, INT64_MAX, &v));
+  EXPECT_FALSE(ParseInt("1e3", INT64_MIN, INT64_MAX, &v));
+  // One past INT64_MAX / INT64_MIN.
+  EXPECT_FALSE(ParseInt("9223372036854775808", INT64_MIN, INT64_MAX, &v));
+  EXPECT_FALSE(ParseInt("-9223372036854775809", INT64_MIN, INT64_MAX, &v));
+  EXPECT_FALSE(ParseInt("0", 1, 10, &v));
+  EXPECT_FALSE(ParseInt("11", 1, 10, &v));
+  EXPECT_EQ(v, 0);
+}
+
+TEST(StringsTest, ParseIntAcceptsInRangeValues) {
+  int64_t v = 0;
+  EXPECT_TRUE(ParseInt("-42", -100, 100, &v));
+  EXPECT_EQ(v, -42);
+  EXPECT_TRUE(ParseInt("10", 1, 10, &v));
+  EXPECT_EQ(v, 10);
+  EXPECT_TRUE(ParseInt("9223372036854775807", INT64_MIN, INT64_MAX, &v));
+  EXPECT_EQ(v, INT64_MAX);
+}
+
+TEST(StringsTest, ParseUnsignedRejectsSignsAndRange) {
+  uint64_t v = 3;
+  EXPECT_FALSE(ParseUnsigned("-1", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUnsigned("-0", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUnsigned("2.9", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616", 0, UINT64_MAX, &v));
+  EXPECT_FALSE(ParseUnsigned("9007199254740993", 0, uint64_t{1} << 53, &v));
+  EXPECT_EQ(v, 3u);
+}
+
+TEST(StringsTest, ParseUnsignedAcceptsInRangeValues) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", 0, UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseUnsigned("0", 0, 65535, &v));
+  EXPECT_EQ(v, 0u);
+}
+
+TEST(StringsTest, ParseFiniteDoubleRejectsOutOfRange) {
+  double v = 0.5;
+  EXPECT_FALSE(ParseFiniteDouble("0", 1e-300, 1.0, &v));
+  EXPECT_FALSE(ParseFiniteDouble("1.5", 0.0, 1.0, &v));
+  EXPECT_FALSE(ParseFiniteDouble("-1e-3", 0.0, 1.0, &v));
+  EXPECT_EQ(v, 0.5);
+}
+
+TEST(StringsTest, ParseFiniteDoubleAcceptsInRangeValues) {
+  double v = 0.0;
+  EXPECT_TRUE(ParseFiniteDouble("0.04", 0.0, 1.0, &v));
+  EXPECT_EQ(v, 0.04);
+  EXPECT_TRUE(ParseFiniteDouble("-2.5e2", -1e3, 1e3, &v));
+  EXPECT_EQ(v, -250.0);
+  EXPECT_TRUE(ParseFiniteDouble("1", 0.0, 1.0, &v));
+  EXPECT_EQ(v, 1.0);
 }
 
 // ------------------------------------------------------------------- CSV

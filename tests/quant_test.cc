@@ -467,8 +467,8 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   }
   // The JSD bound is the pipeline's resampling noise floor, not a
   // statement about kernel error; the kernel-level bound is the analytic
-  // one above, and the release-scale fp32/int8 JSD pair is recorded per
-  // run in BENCH_generate.json.
+  // one above, and the release-scale fp32/int8 JSD pair is recorded in
+  // EXPERIMENTS.md (int8 quantized decode).
   EXPECT_LE(std::fabs(fp32_jsd - int8_jsd), 0.05)
       << "mean fp32 jsd " << fp32_jsd << " int8 jsd " << int8_jsd;
   EXPECT_LE(std::fabs(fp32_f1 - int8_f1), 0.01)

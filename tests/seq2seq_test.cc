@@ -580,12 +580,6 @@ TEST_F(StringBankFixture, IncrementalDecodeRecordsStatsAndCacheTraffic) {
   bank_->Synthesize(s, target, &rng);
   EXPECT_GT(stats.decode_steps, 0);
   EXPECT_EQ(stats.decode_steps, stats.decode_cached_steps);
-  EXPECT_GT(stats.encoder_cache_misses, 0);
-
-  // Same (model, source) again: the per-thread encoder cache must hit.
-  const long hits_before = stats.encoder_cache_hits;
-  bank_->Synthesize(s, target, &rng);
-  EXPECT_GT(stats.encoder_cache_hits, hits_before);
 }
 
 TEST(StringBankTest, IncrementalAndReferenceDecodeSynthesizeIdentically) {

@@ -5,8 +5,8 @@
 // The bench isolates the labeling subsystem: it fits O_real on the real
 // analog exactly as S1 does, then labels the real A x B cross space both
 // ways and compares wall-clock, pairs scored, and the match lists. This
-// keeps a full sweep affordable (no synthesis in the loop) while scoring
-// the same kind of digests S3 scores.
+// keeps every dataset tier affordable (no synthesis in the loop) while
+// scoring the same kind of digests S3 scores.
 //
 // Writes BENCH_blocking.json: per dataset, exact/blocked wall-clock,
 // pairs scored on each side, the scored-pairs reduction, measured recall
@@ -20,9 +20,6 @@
 //   --no-stress        skip the 10x stress tier (dblp-acm at scale 3.16)
 //   --exact-all        run the exact scan even above the pair gate
 //                      (itunes-amazon at scale 1.0 is ~386M pairs)
-//   --sweep            sweep BlockOptions grid per dataset (tuning aid)
-//   --rarity           print the matches' rarest-shared-gram df
-//                      percentiles (what df threshold recall 1.0 needs)
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +35,6 @@
 #include "data/er_dataset.h"
 #include "data/similarity.h"
 #include "gmm/o_distribution.h"
-#include "text/qgram.h"
 
 namespace serd::bench {
 namespace {
@@ -107,29 +103,19 @@ std::vector<uint64_t> ExactMatches(const Fitted& f, double* seconds) {
 struct BlockedRun {
   std::vector<uint64_t> keys;  ///< sorted flat match keys
   size_t candidates = 0;
-  block::IndexStats stats;
   double index_seconds = 0.0;
   double candidate_seconds = 0.0;
   double score_seconds = 0.0;
-  /// Sampled-recall estimate (same estimator S3 runs: score a seeded
-  /// uniform sample of the pruned pair space by the posterior). Only
-  /// meaningful when `recall_estimated`; rows with a measured exact scan
+  /// Sampled-recall estimate (block::EstimateRecall, the estimator S3
+  /// runs). Only filled when requested; rows with a measured exact scan
   /// never use it.
-  double recall_estimate = 1.0;
-  bool recall_estimated = false;
+  block::RecallEstimate recall;
   double total_seconds() const {
     return index_seconds + candidate_seconds + score_seconds;
   }
 };
 
-/// Mirrors SerdOptions::block_recall_samples' default and the seed salt of
-/// the S3 estimator, so blocked-only bench rows estimate recall the same
-/// way blocked-only runs do.
-constexpr size_t kRecallSamples = 2048;
-constexpr uint64_t kRecallSeedSalt = 0xb10c4ec5ULL;
-
-BlockedRun BlockedMatches(const Fitted& f, const block::BlockOptions& opts,
-                          bool estimate_recall = false, uint64_t seed = 42) {
+BlockedRun BlockedMatches(const Fitted& f, bool estimate_recall) {
   BlockedRun run;
   const size_t nb = f.b_digests.size();
   WallTimer index_timer;
@@ -137,9 +123,8 @@ BlockedRun BlockedMatches(const Fitted& f, const block::BlockOptions& opts,
     return f.b_digests[row].grams[f.gram_cols[col]];
   };
   block::QgramIndex index = block::QgramIndex::Build(
-      nb, f.gram_cols.size(), index_grams, opts);
+      nb, f.gram_cols.size(), index_grams, block::BlockOptions());
   run.index_seconds = index_timer.Seconds();
-  run.stats = index.stats();
 
   WallTimer cand_timer;
   auto probe_grams = [&](size_t row, size_t col) -> const auto& {
@@ -152,127 +137,22 @@ BlockedRun BlockedMatches(const Fitted& f, const block::BlockOptions& opts,
 
   WallTimer score_timer;
   Vec x;
+  auto is_match = [&](size_t i, size_t j) {
+    f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
+    return f.o.LabelAsMatch(x);
+  };
   for (size_t k = 0; k < cand.num_pairs(); ++k) {
     auto [i, j] = cand.PairAt(k);
-    f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
-    if (f.o.LabelAsMatch(x)) run.keys.push_back(i * nb + j);
+    if (is_match(i, j)) run.keys.push_back(i * nb + j);
   }
   run.score_seconds = score_timer.Seconds();
 
-  const size_t total_pairs = f.a_digests.size() * nb;
-  if (estimate_recall && cand.num_pairs() < total_pairs) {
-    run.recall_estimated = true;
-    Rng recall_rng(seed ^ kRecallSeedSalt);
-    const size_t samples = std::min(kRecallSamples, total_pairs);
-    size_t outside = 0, missed = 0;
-    for (size_t s = 0; s < samples; ++s) {
-      const size_t flat = recall_rng.UniformInt(total_pairs);
-      const size_t i = flat / nb, j = flat % nb;
-      if (cand.Contains(i, static_cast<uint32_t>(j))) continue;
-      ++outside;
-      f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
-      if (f.o.LabelAsMatch(x)) ++missed;
-    }
-    const double pruned =
-        static_cast<double>(total_pairs - cand.num_pairs());
-    const double est_missed =
-        outside > 0
-            ? (static_cast<double>(missed) / static_cast<double>(outside)) *
-                  pruned
-            : 0.0;
-    const double found = static_cast<double>(run.keys.size());
-    run.recall_estimate =
-        found + est_missed > 0.0 ? found / (found + est_missed) : 1.0;
+  if (estimate_recall) {
+    run.recall = block::EstimateRecall(cand, nb, run.keys.size(),
+                                       /*seed=*/42, /*skip=*/nullptr,
+                                       is_match);
   }
   return run;
-}
-
-/// For each exact match, the document frequency of its rarest and
-/// second-rarest shared grams (across indexed columns, unpruned index).
-/// A df threshold at or above the rarest-df column maximum keeps recall
-/// 1.0 with min_shared_grams = 1; the second column is the same bound
-/// for min_shared_grams = 2.
-void PrintRarity(const Fitted& f, const std::vector<uint64_t>& matches) {
-  block::BlockOptions unpruned;
-  unpruned.max_df_frac = 1.0;
-  unpruned.min_df_rows = f.b_digests.size() + 1;
-  auto index_grams = [&](size_t row, size_t col) -> const auto& {
-    return f.b_digests[row].grams[f.gram_cols[col]];
-  };
-  block::QgramIndex index = block::QgramIndex::Build(
-      f.b_digests.size(), f.gram_cols.size(), index_grams, unpruned);
-
-  std::vector<size_t> rarest, second;
-  const size_t nb = f.b_digests.size();
-  for (uint64_t key : matches) {
-    const auto& a = f.a_digests[key / nb];
-    const auto& b = f.b_digests[key % nb];
-    size_t best = SIZE_MAX, next = SIZE_MAX;
-    for (size_t c = 0; c < f.gram_cols.size(); ++c) {
-      const auto& ga = a.grams[f.gram_cols[c]];
-      const auto& gb = b.grams[f.gram_cols[c]];
-      size_t ia = 0, ib = 0;
-      while (ia < ga.size() && ib < gb.size()) {
-        if (ga[ia] < gb[ib]) {
-          ++ia;
-        } else if (gb[ib] < ga[ia]) {
-          ++ib;
-        } else {
-          size_t df = index.PostingCount(c, ga[ia]);
-          if (df < best) {
-            next = best;
-            best = df;
-          } else if (df < next) {
-            next = df;
-          }
-          ++ia;
-          ++ib;
-        }
-      }
-    }
-    rarest.push_back(best);
-    second.push_back(next);
-  }
-  // The minimum over matches of the best per-column Jaccard bounds how
-  // high the prefix tier's tau can go while keeping recall 1.0.
-  std::vector<double> best_jac;
-  for (uint64_t key : matches) {
-    const auto& a = f.a_digests[key / nb];
-    const auto& b = f.b_digests[key % nb];
-    double best = 0.0;
-    for (size_t c : f.gram_cols) {
-      best = std::max(best, JaccardOfHashedSets(a.grams[c], b.grams[c]));
-    }
-    best_jac.push_back(best);
-  }
-  std::sort(best_jac.begin(), best_jac.end());
-
-  std::sort(rarest.begin(), rarest.end());
-  std::sort(second.begin(), second.end());
-  auto pct = [](const std::vector<size_t>& v, double p) -> size_t {
-    if (v.empty()) return 0;
-    size_t idx = static_cast<size_t>(p * (v.size() - 1));
-    return v[idx];
-  };
-  std::printf(
-      "  match rarest-shared-gram df  p50=%zu p90=%zu p99=%zu p999=%zu "
-      "max=%zu (of %zu rows)\n",
-      pct(rarest, 0.5), pct(rarest, 0.9), pct(rarest, 0.99),
-      pct(rarest, 0.999), rarest.empty() ? 0 : rarest.back(), nb);
-  std::printf(
-      "  match 2nd-rarest-gram df     p50=%zu p90=%zu p99=%zu p999=%zu "
-      "max=%zu\n",
-      pct(second, 0.5), pct(second, 0.9), pct(second, 0.99),
-      pct(second, 0.999), second.empty() ? 0 : second.back());
-  if (!best_jac.empty()) {
-    auto jpct = [&](double p) {
-      return best_jac[static_cast<size_t>(p * (best_jac.size() - 1))];
-    };
-    std::printf(
-        "  match best-column Jaccard    min=%.3f p01=%.3f p1=%.3f "
-        "p10=%.3f p50=%.3f\n",
-        best_jac.front(), jpct(0.001), jpct(0.01), jpct(0.1), jpct(0.5));
-  }
 }
 
 struct BlockRow {
@@ -321,55 +201,6 @@ void WriteJson(const std::vector<BlockRow>& rows, const char* path) {
   out << "  ]\n}\n";
 }
 
-void Sweep(const Fitted& f, const std::vector<uint64_t>& exact) {
-  std::printf("  %-44s | %10s | %6s | %7s | %7s\n", "config", "candidates",
-              "redux", "recall", "agree");
-  const size_t total = f.a_digests.size() * f.b_digests.size();
-  std::vector<std::pair<std::string, block::BlockOptions>> configs;
-  auto add = [&](const char* label, const block::BlockOptions& o) {
-    configs.emplace_back(label, o);
-  };
-  // Shared-count tier baselines.
-  for (double frac : {0.05, 0.10}) {
-    for (int share : {1, 2}) {
-      block::BlockOptions o;
-      o.max_df_frac = frac;
-      o.min_shared_grams = share;
-      o.jaccard_tau = 0.0;
-      char label[96];
-      std::snprintf(label, sizeof(label), "count df<=%.2f min_shared=%d",
-                    frac, share);
-      add(label, o);
-    }
-  }
-  // Adaptive Jaccard-threshold tier.
-  for (double frac : {0.02, 0.05, 0.10, 1.0}) {
-    for (double tau : {0.20, 0.25, 0.30, 0.35, 0.40}) {
-      block::BlockOptions o;
-      o.max_df_frac = frac;
-      o.min_df_rows = frac >= 1.0 ? f.b_digests.size() + 1 : size_t{16};
-      o.jaccard_tau = tau;
-      char label[96];
-      std::snprintf(label, sizeof(label), "tau df<=%.2f jaccard_tau=%.2f",
-                    frac, tau);
-      add(label, o);
-    }
-  }
-  for (const auto& [label, o] : configs) {
-    BlockedRun run = BlockedMatches(f, o);
-    double recall = exact.empty() ? 1.0
-                                  : static_cast<double>(run.keys.size()) /
-                                        static_cast<double>(exact.size());
-    std::printf("  %-44s | %10zu | %5.1fx | %6.4f | %s | %5.2fs\n",
-                label.c_str(), run.candidates,
-                run.candidates > 0 ? static_cast<double>(total) /
-                                         static_cast<double>(run.candidates)
-                                   : 0.0,
-                recall, run.keys == exact ? "yes" : "NO ",
-                run.total_seconds());
-  }
-}
-
 struct Tier {
   DatasetKind kind;
   double scale;
@@ -378,22 +209,18 @@ struct Tier {
 
 void Run(int argc, char** argv) {
   std::string filter;
-  bool sweep = false, rarity = false, exact_all = false, stress = true;
+  bool exact_all = false, stress = true;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--datasets") && i + 1 < argc) {
       filter = argv[++i];
-    } else if (!std::strcmp(argv[i], "--sweep")) {
-      sweep = true;
-    } else if (!std::strcmp(argv[i], "--rarity")) {
-      rarity = true;
     } else if (!std::strcmp(argv[i], "--exact-all")) {
       exact_all = true;
     } else if (!std::strcmp(argv[i], "--no-stress")) {
       stress = false;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_blocking [--datasets a,b] [--sweep] "
-                   "[--rarity] [--exact-all] [--no-stress]\n");
+                   "usage: bench_blocking [--datasets a,b] [--exact-all] "
+                   "[--no-stress]\n");
       std::exit(2);
     }
   }
@@ -454,11 +281,7 @@ void Run(int argc, char** argv) {
       std::printf("  exact:   skipped (> %zu pairs; --exact-all forces)\n",
                   kExactPairGate);
     }
-    if (rarity && row.exact_ran) PrintRarity(f, exact);
-    if (sweep) Sweep(f, exact);
-
-    BlockedRun run = BlockedMatches(f, block::BlockOptions(),
-                                    /*estimate_recall=*/!row.exact_ran);
+    BlockedRun run = BlockedMatches(f, /*estimate_recall=*/!row.exact_ran);
     row.blocked_seconds = run.total_seconds();
     row.blocked_matches = run.keys.size();
     row.candidates = run.candidates;
@@ -480,8 +303,8 @@ void Run(int argc, char** argv) {
       // No ground truth: publish the sampled estimate and say so — the
       // flag travels into the JSON row so estimated and measured recall
       // can never be conflated downstream.
-      row.recall = run.recall_estimate;
-      row.recall_estimated = run.recall_estimated;
+      row.recall = run.recall.recall;
+      row.recall_estimated = run.recall.estimated;
     }
     std::printf(
         "  blocked: %9.2fs  %zu matches  (index %.2fs + candidates %.2fs + "

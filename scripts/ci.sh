@@ -150,6 +150,24 @@ assert off["s3_block_recall_estimated"] is False, \
     "exact scan claims an estimated recall"
 EOF
 
+  echo "==> smoke: bench_blocking's rows agree with the exact scan"
+  # The real Restaurant and DBLP-ACM tables at scale 1.0, labeled by the
+  # exact scan and through the q-gram index: every row must report the
+  # same match list on both paths while scoring fewer pairs than exist.
+  BENCH_BLOCKING="$PWD/build/bench/bench_blocking"
+  mkdir -p "$SMOKE_DIR/bench_blocking"
+  (cd "$SMOKE_DIR/bench_blocking" &&
+    "$BENCH_BLOCKING" --datasets restaurant,dblp-acm --no-stress)
+  python3 - "$SMOKE_DIR/bench_blocking/BENCH_blocking.json" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+assert len(rows) == 2, "expected the restaurant and dblp-acm rows"
+for r in rows:
+    assert r["agree"] is True, r["name"] + ": blocked matches differ"
+    assert r["candidates"] < r["total_pairs"], \
+        r["name"] + ": blocking pruned nothing"
+EOF
+
   echo "==> smoke: int8 quantized decode runs end to end and says so"
   # A full restaurant synthesis with --decode-precision int8: the
   # manifest must record the precision and show that the decode actually

@@ -73,7 +73,7 @@ Result<std::unique_ptr<EntityGan>> DecodeEntityGan(ByteReader* r);
 void EncodeStringBank(const StringSynthesisBank& bank, ByteWriter* w);
 
 /// Rebuilds a trained bank. `options` supplies the inference-time knobs
-/// (num_candidates, temperature, refinement thresholds, metrics sink);
+/// (num_candidates, temperature, metrics sink);
 /// the trained structure — bucket count, vocabulary, per-bucket models —
 /// comes from the payload and overrides `options.num_buckets`.
 Result<std::unique_ptr<StringSynthesisBank>> DecodeStringBank(

@@ -57,6 +57,40 @@ CandidateSet GenerateCandidates(const QgramIndex& index,
   return out;
 }
 
+RecallEstimate EstimateRecall(
+    const CandidateSet& candidates, size_t num_indexed_rows,
+    size_t found_matches, uint64_t seed,
+    const std::unordered_set<uint64_t>* skip,
+    const std::function<bool(size_t i, size_t j)>& is_match) {
+  SERD_CHECK(!candidates.offsets.empty());
+  RecallEstimate out;
+  const size_t total_pairs =
+      (candidates.offsets.size() - 1) * num_indexed_rows;
+  if (candidates.num_pairs() >= total_pairs) return out;
+  out.estimated = true;
+  Rng rng(seed ^ 0xb10c4ec5ULL);
+  const size_t samples = std::min(kRecallSamples, total_pairs);
+  size_t outside = 0, missed = 0;
+  for (size_t s = 0; s < samples; ++s) {
+    const size_t flat = rng.UniformInt(total_pairs);
+    const size_t i = flat / num_indexed_rows, j = flat % num_indexed_rows;
+    if (candidates.Contains(i, static_cast<uint32_t>(j))) continue;
+    if (skip != nullptr && skip->count(static_cast<uint64_t>(flat))) continue;
+    ++outside;
+    if (is_match(i, j)) ++missed;
+  }
+  const double pruned =
+      static_cast<double>(total_pairs - candidates.num_pairs());
+  const double est_missed =
+      outside > 0
+          ? (static_cast<double>(missed) / static_cast<double>(outside)) *
+                pruned
+          : 0.0;
+  const double found = static_cast<double>(found_matches);
+  out.recall = found + est_missed > 0.0 ? found / (found + est_missed) : 1.0;
+  return out;
+}
+
 std::vector<size_t> SampleDistinctSorted(size_t n, size_t k, uint64_t seed) {
   SERD_CHECK(k <= n);
   if (k == n) {

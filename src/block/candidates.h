@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,31 @@ CandidateSet GenerateCandidates(const QgramIndex& index,
                                 size_t num_probe_rows,
                                 const QgramIndex::GramAccessor& probe_grams,
                                 runtime::ThreadPool* pool = nullptr);
+
+/// Uniform pair draws behind the sampled recall estimate.
+constexpr size_t kRecallSamples = 2048;
+
+/// Sampled recall of a blocked match set against the exact scan.
+struct RecallEstimate {
+  double recall = 1.0;
+  /// False when `candidates` covers every pair: nothing was pruned, so
+  /// recall is exactly 1.0 and no sample was drawn.
+  bool estimated = false;
+};
+
+/// Estimates the recall of blocking from kRecallSamples uniform draws over
+/// the num_probe_rows x num_indexed_rows pair space (flat key
+/// i * num_indexed_rows + j), seeded from `seed` with a fixed salt so the
+/// draws never touch any other RNG stream. Draws inside `candidates`, and
+/// draws whose flat key is in `skip` (pairs labeled elsewhere; may be
+/// null), are dropped; the rest are scored by `is_match`, and the missed
+/// share scales to the pruned pair count. recall = found_matches /
+/// (found_matches + estimated misses), 1.0 when both are 0.
+RecallEstimate EstimateRecall(
+    const CandidateSet& candidates, size_t num_indexed_rows,
+    size_t found_matches, uint64_t seed,
+    const std::unordered_set<uint64_t>* skip,
+    const std::function<bool(size_t i, size_t j)>& is_match);
 
 /// `k` distinct values sampled uniformly from [0, n) without replacement
 /// (Floyd's algorithm: exactly k UniformInt draws), returned sorted

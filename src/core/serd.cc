@@ -13,6 +13,18 @@
 
 namespace serd {
 
+namespace {
+
+/// Non-matching pairs sampled per matching pair when estimating the
+/// N-distribution (the full cross product is quadratic).
+constexpr double kNegPairsPerMatch = 10.0;
+/// Entities accepted before O_syn tracking starts.
+constexpr size_t kOSynWarmup = 12;
+/// Pair count at which BlockingMode::kAuto switches to the q-gram index.
+constexpr size_t kBlockingAutoMinPairs = size_t{1} << 20;
+
+}  // namespace
+
 const char* BlockingModeName(SerdOptions::BlockingMode mode) {
   switch (mode) {
     case SerdOptions::BlockingMode::kOff:
@@ -127,36 +139,23 @@ Status SerdSynthesizer::Fit(
                        << loaded.ToString() << "); training from scratch";
   }
 
-  Rng rng(options_.seed);
-
   // ----- S1: learn the M- and N-distributions from E_real. -----
   obs::TraceSpan s1_span(metrics_.get(), "s1.distributions");
-  LabeledPairSet pairs =
-      BuildLabeledPairs(*real_, options_.neg_pairs_per_match, &rng,
-                        pool_.get());
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(*real_, spec_, pairs, &x_pos, &x_neg, pool_.get());
-  if (x_pos.empty() || x_neg.empty()) {
-    return Status::FailedPrecondition(
-        "real dataset must contain both matching and non-matching pairs");
-  }
-  auto m_fit = Gmm::FitWithAic(x_pos, options_.gmm);
-  SERD_RETURN_IF_ERROR(m_fit.status());
-  auto n_fit = Gmm::FitWithAic(x_neg, options_.gmm);
-  SERD_RETURN_IF_ERROR(n_fit.status());
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
+  Result<ODistribution> o_real = FitODistribution(*real_, options_.seed);
+  SERD_RETURN_IF_ERROR(o_real.status());
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    o_real_ = ODistribution(pi, m_fit.value(), n_fit.value());
-    report_.m_components = static_cast<int>(m_fit->num_components());
-    report_.n_components = static_cast<int>(n_fit->num_components());
+    o_real_ = std::move(o_real).value();
+    report_.m_components =
+        static_cast<int>(o_real_.m_distribution().num_components());
+    report_.n_components =
+        static_cast<int>(o_real_.n_distribution().num_components());
   }
   s1_span.Stop();
   if (metrics_ != nullptr) {
     metrics_->gauge("s1.m_components")->Set(report_.m_components);
     metrics_->gauge("s1.n_components")->Set(report_.n_components);
-    metrics_->gauge("s1.pi")->Set(pi);
+    metrics_->gauge("s1.pi")->Set(o_real_.pi());
   }
 
   // ----- Offline: one transformer bank per text column. -----
@@ -478,13 +477,14 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   };
   std::vector<LinkedPair> linked;
 
-  // Arm-sampling rate for S2-2 (see SerdOptions::match_link_rate).
-  double link_rate = options_.match_link_rate;
-  if (link_rate <= 0.0) {
-    link_rate = static_cast<double>(real_->matches.size()) /
-                static_cast<double>(na + nb);
-    link_rate = std::clamp(link_rate, 0.02, 0.9);
-  }
+  // Arm-sampling rate for S2-2: the probability that the new entity is
+  // linked as a match. The paper uses the mixture weight pi, but pi is
+  // relative to the labeled pair sample, not to entity insertions; to make
+  // |M_syn| track |M_real| the link rate must be |M_real| / (n_a + n_b).
+  const double link_rate =
+      std::clamp(static_cast<double>(real_->matches.size()) /
+                     static_cast<double>(na + nb),
+                 0.02, 0.9);
   auto sample_vector = [&](Rng* r) {
     ODistribution::SampleResult out;
     out.from_match = r->Bernoulli(link_rate);
@@ -652,8 +652,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
 
     // Initialize the O_syn trackers once warmed up.
     if (options_.enable_rejection && m_syn == nullptr &&
-        static_cast<size_t>(report.accepted_entities) >=
-            options_.o_syn_warmup &&
+        static_cast<size_t>(report.accepted_entities) >= kOSynWarmup &&
         warm_pos.size() >= 4 && warm_neg.size() >= 4) {
       GmmFitOptions syn_fit = options_.gmm;
       syn_fit.max_components = std::max(report.m_components, 1);
@@ -710,11 +709,11 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       total_pairs > 0 && !gram_cols.empty() &&
       (options_.blocking == SerdOptions::BlockingMode::kQgram ||
        (options_.blocking == SerdOptions::BlockingMode::kAuto &&
-        total_pairs >= options_.blocking_auto_min_pairs));
+        total_pairs >= kBlockingAutoMinPairs));
 
-  // Blocked enumeration: index B's q-gram profiles, generate candidate
-  // pairs whose shared-gram count can clear the match threshold, and score
-  // only those. Candidates are re-scored by the same GMM posterior below,
+  // Blocked enumeration: index B's q-gram profiles, generate the pairs
+  // whose q-gram Jaccard reaches tau on some column, and score only
+  // those. Candidates are re-scored by the same GMM posterior below,
   // so blocked matches are a subset of the exact scan's (precision 1 by
   // construction); the recall estimate follows the labeling pass.
   block::CandidateSet cand;
@@ -725,7 +724,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       return b_digests[row].grams[gram_cols[col]];
     };
     block::QgramIndex index = block::QgramIndex::Build(
-        nb_rows, gram_cols.size(), index_grams, options_.block);
+        nb_rows, gram_cols.size(), index_grams, block::BlockOptions());
     auto probe_grams = [&](size_t row,
                            size_t col) -> const std::vector<uint32_t>& {
       return a_digests[row].grams[gram_cols[col]];
@@ -735,9 +734,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
     if (metrics_ != nullptr) {
       const block::IndexStats& is = index.stats();
       metrics_->gauge("s3.block_distinct_grams")->Set(is.distinct_grams);
-      metrics_->gauge("s3.block_stop_grams")->Set(is.stop_grams);
-      metrics_->gauge("s3.block_pruned_postings")->Set(is.pruned_postings);
-      metrics_->gauge("s3.block_df_threshold")->Set(is.df_threshold);
     }
   }
 
@@ -793,39 +789,18 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   // Recall harness: estimate the matches blocking pruned away from a
   // seeded uniform sample of the non-candidate pair space, scored by the
   // same posterior. Pure function of (options, dataset) — the sampling RNG
-  // is separate from the synthesis stream, so dataset bytes are identical
-  // with the estimator on or off.
-  double block_recall = 1.0;
-  bool block_recall_estimated = false;
-  if (blocked && options_.block_recall_samples > 0 &&
-      cand.num_pairs() < total_pairs) {
-    block_recall_estimated = true;
+  // is separate from the synthesis stream, so it never moves dataset
+  // bytes.
+  block::RecallEstimate recall;
+  if (blocked) {
     obs::TraceSpan recall_span(metrics_.get(), "s3.block_recall_estimate");
-    Rng recall_rng(options_.seed ^ 0xb10c4ec5ULL);
-    const size_t samples = std::min<size_t>(
-        static_cast<size_t>(options_.block_recall_samples), total_pairs);
-    size_t outside = 0, missed = 0;
     Vec x;
-    for (size_t s = 0; s < samples; ++s) {
-      const size_t flat = recall_rng.UniformInt(total_pairs);
-      const size_t i = flat / nb_rows, j = flat % nb_rows;
-      if (cand.Contains(i, static_cast<uint32_t>(j))) continue;
-      if (known.count(static_cast<uint64_t>(flat))) continue;
-      ++outside;
-      cached_sim_->SimilarityVectorInto(a_digests[i], b_digests[j], &x);
-      if (o_real_.LabelAsMatch(x)) ++missed;
-    }
-    const double pruned =
-        static_cast<double>(total_pairs - cand.num_pairs());
-    const double est_missed =
-        outside > 0
-            ? (static_cast<double>(missed) / static_cast<double>(outside)) *
-                  pruned
-            : 0.0;
-    const double found = static_cast<double>(posterior_matches);
-    block_recall = found + est_missed > 0.0
-                       ? found / (found + est_missed)
-                       : 1.0;
+    recall = block::EstimateRecall(
+        cand, nb_rows, posterior_matches, options_.seed, &known,
+        [&](size_t i, size_t j) {
+          cached_sim_->SimilarityVectorInto(a_digests[i], b_digests[j], &x);
+          return o_real_.LabelAsMatch(x);
+        });
   }
   s3_span.Stop();
 
@@ -836,8 +811,8 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   report.s3_scanned_pairs = static_cast<long>(scan_count);
   report.s3_scored_pairs = scored_pairs.load(std::memory_order_relaxed);
   report.s3_posterior_matches = static_cast<long>(posterior_matches);
-  report.s3_block_recall = block_recall;
-  report.s3_block_recall_estimated = block_recall_estimated;
+  report.s3_block_recall = recall.recall;
+  report.s3_block_recall_estimated = recall.estimated;
   if (metrics_ != nullptr) {
     metrics_->counter("s3.scanned_pairs")->Add(scan_count);
     metrics_->counter("s3.scored_pairs")
@@ -845,9 +820,9 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
     metrics_->counter("s3.candidates")->Add(stream_size);
     metrics_->counter("s3.pruned_pairs")->Add(total_pairs - stream_size);
     metrics_->counter("s3.posterior_matches")->Add(posterior_matches);
-    metrics_->gauge("s3.block_recall")->Set(block_recall);
+    metrics_->gauge("s3.block_recall")->Set(recall.recall);
     metrics_->gauge("s3.block_recall_estimated")
-        ->Set(block_recall_estimated ? 1.0 : 0.0);
+        ->Set(recall.estimated ? 1.0 : 0.0);
     metrics_->gauge("s3.blocked")->Set(blocked ? 1.0 : 0.0);
   }
 
@@ -868,13 +843,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   if (metrics_ != nullptr) {
     metrics_->gauge("run.online_seconds")->Set(report.online_seconds);
     metrics_->gauge("run.parallel_speedup")->Set(report.parallel_speedup);
-  }
-  if (options_.verbose) {
-    SERD_LOG(kInfo) << syn.name << ": accepted=" << report.accepted_entities
-                    << " rej_disc=" << report.rejected_by_discriminator
-                    << " rej_dist=" << report.rejected_by_distribution
-                    << " forced=" << report.forced_accepts
-                    << " jsd=" << report.jsd_real_vs_syn;
   }
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -902,20 +870,11 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("max_reject_retries", options_.max_reject_retries);
   opts.Set("rejection_partner_sample", options_.rejection_partner_sample);
   opts.Set("jsd_samples", options_.jsd_samples);
-  opts.Set("o_syn_warmup", options_.o_syn_warmup);
   opts.Set("max_loop_iterations", options_.max_loop_iterations);
   opts.Set("target_a", options_.target_a);
   opts.Set("target_b", options_.target_b);
-  opts.Set("match_link_rate", options_.match_link_rate);
   opts.Set("max_label_pairs", options_.max_label_pairs);
   opts.Set("blocking", BlockingModeName(options_.blocking));
-  opts.Set("blocking_auto_min_pairs", options_.blocking_auto_min_pairs);
-  opts.Set("block_max_df_frac", options_.block.max_df_frac);
-  opts.Set("block_min_df_rows", options_.block.min_df_rows);
-  opts.Set("block_min_shared_grams", options_.block.min_shared_grams);
-  opts.Set("block_jaccard_tau", options_.block.jaccard_tau);
-  opts.Set("block_prefix_jaccard", options_.block.prefix_jaccard);
-  opts.Set("block_recall_samples", options_.block_recall_samples);
   opts.Set("observability", options_.observability);
   opts.Set("incremental_decode", options_.string_bank.incremental_decode);
   opts.Set("decode_precision",
@@ -983,6 +942,26 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   return root;
 }
 
+Result<ODistribution> SerdSynthesizer::FitODistribution(const ERDataset& data,
+                                                        uint64_t seed) const {
+  Rng rng(seed);
+  LabeledPairSet pairs =
+      BuildLabeledPairs(data, kNegPairsPerMatch, &rng, pool_.get());
+  std::vector<Vec> x_pos, x_neg;
+  ComputeSimilarityVectors(data, spec_, pairs, &x_pos, &x_neg, pool_.get());
+  if (x_pos.empty() || x_neg.empty()) {
+    return Status::FailedPrecondition(
+        data.name + " must contain both matching and non-matching pairs");
+  }
+  auto m_fit = Gmm::FitWithAic(x_pos, options_.gmm);
+  SERD_RETURN_IF_ERROR(m_fit.status());
+  auto n_fit = Gmm::FitWithAic(x_neg, options_.gmm);
+  SERD_RETURN_IF_ERROR(n_fit.status());
+  const double pi = static_cast<double>(x_pos.size()) /
+                    static_cast<double>(x_pos.size() + x_neg.size());
+  return ODistribution(pi, std::move(m_fit).value(), std::move(n_fit).value());
+}
+
 LabeledPairSet SerdSynthesizer::LabelPairs(const ERDataset& syn,
                                            double neg_per_pos,
                                            Rng* rng) const {
@@ -995,23 +974,9 @@ Result<double> SerdSynthesizer::EvaluateSyntheticJsd(const ERDataset& syn,
   if (!fitted_) {
     return Status::FailedPrecondition("Fit() must succeed first");
   }
-  Rng rng(seed);
-  LabeledPairSet pairs = BuildLabeledPairs(syn, options_.neg_pairs_per_match,
-                                           &rng, pool_.get());
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(syn, spec_, pairs, &x_pos, &x_neg, pool_.get());
-  if (x_pos.empty() || x_neg.empty()) {
-    return Status::FailedPrecondition(
-        "synthesized dataset lacks matching or non-matching pairs");
-  }
-  auto m_fit = Gmm::FitWithAic(x_pos, options_.gmm);
-  SERD_RETURN_IF_ERROR(m_fit.status());
-  auto n_fit = Gmm::FitWithAic(x_neg, options_.gmm);
-  SERD_RETURN_IF_ERROR(n_fit.status());
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
-  ODistribution o_syn(pi, m_fit.value(), n_fit.value());
-  return EstimateJsd(o_syn, o_real_, jsd_samples, seed ^ 0x9e37ULL,
+  Result<ODistribution> o_syn = FitODistribution(syn, seed);
+  SERD_RETURN_IF_ERROR(o_syn.status());
+  return EstimateJsd(o_syn.value(), o_real_, jsd_samples, seed ^ 0x9e37ULL,
                      pool_.get());
 }
 

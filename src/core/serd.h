@@ -28,28 +28,16 @@ namespace serd {
 struct SerdOptions {
   // --- S1: distribution learning ---
   GmmFitOptions gmm;
-  /// Non-matching pairs sampled per matching pair when estimating the
-  /// N-distribution (the full cross product is quadratic).
-  double neg_pairs_per_match = 10.0;
 
   // --- S2: synthesis loop ---
   size_t target_a = 0;  ///< 0 = |A_real|
   size_t target_b = 0;  ///< 0 = |B_real|
-  /// Probability that S2-2 samples the similarity vector from the
-  /// M-distribution (i.e., that the new entity is linked as a match). The
-  /// paper uses the mixture weight pi, but pi is relative to the labeled
-  /// pair sample, not to entity insertions; to make |M_syn| track |M_real|
-  /// the link rate must be |M_real| / (n_a + n_b). 0 (the default) selects
-  /// that automatic rate (clamped to [0.02, 0.9]); set explicitly to
-  /// override (e.g. to the raw pi for a paper-literal run).
-  double match_link_rate = 0.0;
   bool enable_rejection = true;  ///< false reproduces the SERD- baseline
   double alpha = 1.0;   ///< distribution-rejection slack (paper Eq. 10)
   double beta = 0.6;    ///< discriminator acceptance threshold
   int max_reject_retries = 4;   ///< re-synthesis attempts before forcing
   int rejection_partner_sample = 24;  ///< t of paper Remark (1)
   int jsd_samples = 192;        ///< Monte-Carlo draws per JSD estimate
-  size_t o_syn_warmup = 12;     ///< entities accepted before O_syn tracking
   /// Hard cap on S2 guard-loop iterations; 0 selects the automatic bound
   /// 60 * (target_a + target_b) + 1000. Exhausting the cap returns an
   /// undersized dataset and sets SerdReport::guard_exhausted (+ shortfall
@@ -76,18 +64,11 @@ struct SerdOptions {
   ///            posterior, so blocked matches are a subset of the exact
   ///            ones (precision 1 by construction); the measured recall
   ///            is estimated per run (SerdReport::s3_block_recall).
-  ///   kAuto  — kQgram when the pair count reaches
-  ///            blocking_auto_min_pairs, else the exact scan.
+  ///   kAuto  — kQgram once the pair count reaches 2^20, else the exact
+  ///            scan.
+  /// The index runs with the default block::BlockOptions.
   enum class BlockingMode { kOff, kQgram, kAuto };
   BlockingMode blocking = BlockingMode::kOff;
-  /// Pair-count threshold at which kAuto switches to the q-gram index.
-  size_t blocking_auto_min_pairs = 1u << 20;
-  /// Index construction / candidate generation knobs.
-  block::BlockOptions block;
-  /// Uniform pair draws behind the per-run recall estimate (0 disables;
-  /// the estimate then reports 1.0). Sampling is seeded and independent
-  /// of the synthesis RNG, so it never perturbs the dataset bytes.
-  int block_recall_samples = 2048;
 
   // --- artifact store (warm start; DESIGN.md Section 5g) ---
   /// What Fit() does with `model_dir` when it is non-empty.
@@ -106,7 +87,6 @@ struct SerdOptions {
   ArtifactMode artifact_mode = ArtifactMode::kAuto;
 
   uint64_t seed = 2024;
-  bool verbose = false;
 
   // --- observability ---
   /// When true the synthesizer owns an obs::MetricsRegistry and every
@@ -424,6 +404,12 @@ class SerdSynthesizer {
   /// Cold start (paper Section IV-B2): GAN features decoded against the
   /// background pools.
   Entity ColdStartEntity(Rng* rng) const;
+
+  /// S1 on `data`: a seeded labeled-pair sample, its similarity vectors,
+  /// and the AIC-selected M-/N-GMMs with their mixture weight pi. Fit()
+  /// learns O_real with it; EvaluateSyntheticJsd() refits O_syn.
+  Result<ODistribution> FitODistribution(const ERDataset& data,
+                                         uint64_t seed) const;
 
   /// Case-1 rejection: discriminator score < beta.
   bool RejectedByDiscriminator(const Entity& e) const;

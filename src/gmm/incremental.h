@@ -32,7 +32,7 @@ class IncrementalGmm {
   IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
                  double ridge = 1e-6);
 
-  size_t num_points() const { return n_; }
+  size_t num_points() const { return stats_.count; }
   const Gmm& model() const { return model_; }
 
   /// The sufficient statistics after hypothetically adding `points`.
@@ -54,15 +54,15 @@ class IncrementalGmm {
   void Commit(const Delta& delta);
 
  private:
-  Gmm RebuildModel(const std::vector<double>& gamma,
-                   const std::vector<Vec>& wsum,
-                   const std::vector<Matrix>& smom, size_t n) const;
+  /// The running statistics plus `delta` (Preview and Commit share it).
+  Delta Folded(const Delta& delta) const;
+  /// Parameters from sufficient statistics (paper Eq. 9).
+  Gmm RebuildModel(const Delta& stats) const;
 
   Gmm model_;
-  std::vector<double> gamma_sum_;
-  std::vector<Vec> weighted_sum_;
-  std::vector<Matrix> second_moment_;
-  size_t n_ = 0;
+  /// Statistics of every point folded in so far, seeded by the
+  /// constructor's E-step pass.
+  Delta stats_;
   double ridge_ = 1e-6;
 };
 

@@ -185,6 +185,20 @@ Status StringSynthesisBank::RestoreTrained(
 
 namespace {
 
+/// When the best transformer candidate misses the target similarity by
+/// more than this, a hill-climbing refinement pass nudges it toward the
+/// target (keeps the pipeline usable at CPU-scale model capacity; see
+/// DESIGN.md). Deliberately loose: a synthesis step that can miss is what
+/// the paper's entity rejection (Section V) exists to police — SERD
+/// rejects the misses, SERD- keeps them.
+constexpr double kRefineThreshold = 0.22;
+
+/// Decoder outputs whose fraction of known-pool words falls below this
+/// are discarded as degenerate. Low for the same reason as
+/// kRefineThreshold: implausible entities should reach the GAN
+/// discriminator, whose rejection is the paper's case-1 mechanism.
+constexpr double kMinPoolWordFraction = 0.15;
+
 /// Fraction of a candidate's words drawn from a known word pool — a cheap
 /// plausibility proxy that penalizes degenerate decoder outputs (random
 /// character runs) without a second model.
@@ -232,7 +246,7 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
       // Fully degenerate decodes (random character runs) are dropped;
       // borderline ones pass through to the entity-level discriminator
       // rejection (paper Section V case 1).
-      if (pool_fraction >= options_.min_pool_word_fraction) {
+      if (pool_fraction >= kMinPoolWordFraction) {
         double err = std::fabs(sim_(s, candidate) - target_sim);
         min_err = std::min(min_err, err);
         double score = err + 0.15 * (1.0 - pool_fraction);
@@ -284,7 +298,7 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_quantized_steps"),
            static_cast<uint64_t>(gstats.quantized_steps));
   if (best.empty()) return FallbackSynthesize(s, target_sim, rng);
-  if (best_err > options_.refine_threshold) {
+  if (best_err > kRefineThreshold) {
     // The decoder missed the target: refine the candidate and also try a
     // pure perturbation-search synthesis, keeping whichever scores better.
     ++stats_.refined_calls;

@@ -30,21 +30,6 @@ struct StringBankOptions {
   int min_pairs_per_bucket = 6;   ///< buckets below this are left untrained
   int random_pair_samples = 4000; ///< background pairs examined for bucketing
 
-  /// When the best transformer candidate misses the target similarity by
-  /// more than this, a hill-climbing refinement pass nudges it toward the
-  /// target (keeps the pipeline usable at CPU-scale model capacity; see
-  /// DESIGN.md). Deliberately loose by default: a synthesis step that can
-  /// miss is what the paper's entity rejection (Section V) exists to
-  /// police — SERD rejects the misses, SERD- keeps them. Set >= 1 to
-  /// disable refinement entirely.
-  double refine_threshold = 0.22;
-
-  /// Decoder outputs whose fraction of known-pool words falls below this
-  /// are discarded as degenerate. Low by default for the same reason as
-  /// refine_threshold: implausible entities should reach the GAN
-  /// discriminator, whose rejection is the paper's case-1 mechanism.
-  double min_pool_word_fraction = 0.15;
-
   /// Decode candidates through the lockstep KV-cached decoder
   /// (TransformerSeq2Seq::GenerateBatchLanes over one encoder memory per
   /// call). Off = the fp32 reference: each

@@ -295,7 +295,13 @@ std::vector<int> TransformerSeq2Seq::Generate(const std::vector<int>& src_ids,
 
 EncoderMemoryPtr TransformerSeq2Seq::EncodeMemory(
     const std::vector<int>& src_ids) const {
+  // Per-thread arena for the encoder pass, as in Generate: every
+  // intermediate tensor is recycled from the previous call. Nothing
+  // escapes it — `out` copies the memory rows and projects from the copy.
+  thread_local nn::TensorArena encode_arena;
+  encode_arena.Reset();
   Tape tape;
+  tape.set_arena(&encode_arena);
   tape.set_recording(false);
   TensorPtr mem = Encode(&tape, src_ids, 0.0f, nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,167 +49,27 @@ QgramIndex::GramAccessor Accessor(const GramTable& table) {
   };
 }
 
-/// Count-mode options with no pruning: every gram survives regardless of
-/// frequency, and the adaptive Jaccard tier (on by default) is disabled
-/// so min_shared_grams counting is what gets exercised.
-BlockOptions Unpruned(int min_shared = 1) {
-  BlockOptions o;
-  o.max_df_frac = 1.0;
-  o.min_df_rows = 0;
-  o.min_shared_grams = min_shared;
-  o.jaccard_tau = 0.0;
-  return o;
-}
-
 // ------------------------------------------------------------- QgramIndex
 
 TEST(QgramIndexTest, PostingListsAndStats) {
   GramTable table = {{{1, 2}}, {{2, 3}}, {{2}}};
-  QgramIndex index = QgramIndex::Build(3, 1, Accessor(table), Unpruned());
+  QgramIndex index =
+      QgramIndex::Build(3, 1, Accessor(table), BlockOptions());
 
   EXPECT_EQ(index.num_rows(), 3u);
   EXPECT_EQ(index.stats().indexed_columns, 1u);
   EXPECT_EQ(index.stats().total_postings, 5u);
   EXPECT_EQ(index.stats().distinct_grams, 3u);
-  EXPECT_EQ(index.stats().stop_grams, 0u);
-  EXPECT_EQ(index.stats().pruned_postings, 0u);
-  // threshold = max(min_df_rows, ceil(1.0 * 3)) = 3: nothing pruned.
-  EXPECT_EQ(index.stats().df_threshold, 3u);
-  EXPECT_EQ(index.PostingCount(0, 1), 1u);
-  EXPECT_EQ(index.PostingCount(0, 2), 3u);
-  EXPECT_EQ(index.PostingCount(0, 3), 1u);
-  EXPECT_EQ(index.PostingCount(0, 99), 0u);
-}
-
-TEST(QgramIndexTest, StopGramPruning) {
-  GramTable table = {{{1, 2}}, {{2, 3}}, {{2}}};
-  BlockOptions opts;
-  opts.max_df_frac = 0.5;  // threshold = max(1, ceil(1.5)) = 2
-  opts.min_df_rows = 1;
-  QgramIndex index = QgramIndex::Build(3, 1, Accessor(table), opts);
-
-  EXPECT_EQ(index.stats().df_threshold, 2u);
-  EXPECT_EQ(index.stats().stop_grams, 1u);      // gram 2, df 3 > 2
-  EXPECT_EQ(index.stats().pruned_postings, 3u);
-  EXPECT_EQ(index.PostingCount(0, 2), 0u);
-  EXPECT_EQ(index.PostingCount(0, 1), 1u);
-  EXPECT_EQ(index.PostingCount(0, 3), 1u);
-}
-
-TEST(QgramIndexTest, CandidatesMatchBruteForceOverlap) {
-  // Against random profiles with no pruning, the candidate set of each
-  // probe must be exactly the rows whose cross-column shared-gram count
-  // clears min_shared_grams (oracle: OverlapOfHashedSets).
-  const GramTable indexed = RandomGramTable(60, 2, 40, 12, 11);
-  const GramTable probes = RandomGramTable(40, 2, 40, 12, 22);
-  for (int min_shared : {1, 2, 3}) {
-    QgramIndex index =
-        QgramIndex::Build(60, 2, Accessor(indexed), Unpruned(min_shared));
-    QgramIndex::Scratch scratch;
-    std::vector<uint32_t> got;
-    for (size_t p = 0; p < probes.size(); ++p) {
-      index.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-      std::vector<uint32_t> want;
-      for (size_t r = 0; r < indexed.size(); ++r) {
-        size_t overlap = 0;
-        for (size_t c = 0; c < 2; ++c) {
-          overlap += OverlapOfHashedSets(probes[p][c], indexed[r][c]);
-        }
-        if (overlap >= static_cast<size_t>(min_shared)) {
-          want.push_back(static_cast<uint32_t>(r));
-        }
-      }
-      ASSERT_EQ(got, want) << "probe " << p << " min_shared " << min_shared;
-    }
-  }
-}
-
-TEST(QgramIndexTest, PrunedCandidatesCountSurvivingGramsOnly) {
-  // With stop-gram pruning on, the oracle counts only grams whose posting
-  // list survived (PostingCount > 0).
-  const GramTable indexed = RandomGramTable(80, 1, 12, 8, 33);
-  const GramTable probes = RandomGramTable(30, 1, 12, 8, 44);
-  BlockOptions opts;
-  opts.max_df_frac = 0.2;
-  opts.min_df_rows = 4;
-  opts.min_shared_grams = 1;
-  opts.jaccard_tau = 0.0;  // exercise the count tier
-  QgramIndex index = QgramIndex::Build(80, 1, Accessor(indexed), opts);
-  ASSERT_GT(index.stats().stop_grams, 0u)
-      << "fixture too sparse to exercise pruning";
-
-  QgramIndex::Scratch scratch;
-  std::vector<uint32_t> got;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    index.Candidates({&probes[p][0]}, &scratch, &got);
-    std::vector<uint32_t> want;
-    for (size_t r = 0; r < indexed.size(); ++r) {
-      size_t surviving = 0;
-      for (uint32_t g : probes[p][0]) {
-        if (index.PostingCount(0, g) == 0) continue;
-        if (std::binary_search(indexed[r][0].begin(), indexed[r][0].end(),
-                               g)) {
-          ++surviving;
-        }
-      }
-      if (surviving >= 1) want.push_back(static_cast<uint32_t>(r));
-    }
-    ASSERT_EQ(got, want) << "probe " << p;
-  }
-}
-
-TEST(QgramIndexTest, PrefixFilterKeepsEveryPairAboveTau) {
-  // The prefix tier's guarantee: with no df pruning and
-  // min_shared_grams = 1, every pair whose q-gram Jaccard reaches tau on
-  // some column is still generated, and the tier only ever shrinks the
-  // candidate set.
-  const GramTable indexed = RandomGramTable(70, 2, 30, 14, 55);
-  const GramTable probes = RandomGramTable(50, 2, 30, 14, 66);
-  for (double tau : {0.3, 0.6}) {
-    BlockOptions with_prefix = Unpruned();
-    with_prefix.prefix_jaccard = tau;
-    QgramIndex pruned = QgramIndex::Build(70, 2, Accessor(indexed),
-                                          with_prefix);
-    QgramIndex full = QgramIndex::Build(70, 2, Accessor(indexed), Unpruned());
-
-    QgramIndex::Scratch scratch;
-    std::vector<uint32_t> got, all;
-    for (size_t p = 0; p < probes.size(); ++p) {
-      pruned.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-      full.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &all);
-      ASSERT_TRUE(std::includes(all.begin(), all.end(), got.begin(),
-                                got.end()))
-          << "prefix tier added a candidate (probe " << p << ")";
-      for (size_t r = 0; r < indexed.size(); ++r) {
-        double best = 0.0;
-        for (size_t c = 0; c < 2; ++c) {
-          // Empty-vs-empty scores Jaccard 1.0 but shares no gram, so the
-          // guarantee (like candidate generation) only covers nonempty
-          // columns.
-          if (probes[p][c].empty() || indexed[r][c].empty()) continue;
-          best = std::max(
-              best, JaccardOfHashedSets(probes[p][c], indexed[r][c]));
-        }
-        if (best >= tau) {
-          ASSERT_TRUE(std::binary_search(got.begin(), got.end(),
-                                         static_cast<uint32_t>(r)))
-              << "pair (" << p << ", " << r << ") with Jaccard " << best
-              << " missed at tau " << tau;
-        }
-      }
-    }
-  }
 }
 
 TEST(QgramIndexTest, JaccardTauIsExactWithoutPruning) {
-  // With no stop-gram pruning the adaptive threshold has zero slack, so
-  // the tier is an exact per-column Jaccard filter: candidates are
-  // precisely the rows with q-gram Jaccard >= tau on some nonempty
-  // column — no superset, no misses.
+  // The adaptive threshold is an exact per-column Jaccard filter:
+  // candidates are precisely the rows with q-gram Jaccard >= tau on some
+  // nonempty column — no superset, no misses.
   const GramTable indexed = RandomGramTable(70, 2, 30, 14, 91);
   const GramTable probes = RandomGramTable(45, 2, 30, 14, 92);
   for (double tau : {0.2, 0.35, 0.5, 0.8}) {
-    BlockOptions opts = Unpruned();
+    BlockOptions opts;
     opts.jaccard_tau = tau;
     QgramIndex index = QgramIndex::Build(70, 2, Accessor(indexed), opts);
     QgramIndex::Scratch scratch;
@@ -231,62 +92,18 @@ TEST(QgramIndexTest, JaccardTauIsExactWithoutPruning) {
   }
 }
 
-TEST(QgramIndexTest, JaccardTauGuaranteeSurvivesPruning) {
-  // With stop-gram pruning on, the slack term must keep every pair whose
-  // full-profile column Jaccard reaches tau; the candidate set may only
-  // grow less selective, never lose such a pair.
-  const GramTable indexed = RandomGramTable(90, 2, 10, 8, 93);
-  const GramTable probes = RandomGramTable(40, 2, 10, 8, 94);
-  BlockOptions opts;
-  opts.max_df_frac = 0.15;
-  opts.min_df_rows = 4;
-  opts.jaccard_tau = 0.4;
-  QgramIndex index = QgramIndex::Build(90, 2, Accessor(indexed), opts);
-  ASSERT_GT(index.stats().stop_grams, 0u)
-      << "fixture too sparse to exercise pruning";
-
-  QgramIndex::Scratch scratch;
-  std::vector<uint32_t> got;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    index.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-    for (size_t r = 0; r < indexed.size(); ++r) {
-      double best = 0.0;
-      size_t surviving_overlap = 0;
-      for (size_t c = 0; c < 2; ++c) {
-        if (probes[p][c].empty() || indexed[r][c].empty()) continue;
-        best =
-            std::max(best, JaccardOfHashedSets(probes[p][c], indexed[r][c]));
-        for (uint32_t g : probes[p][c]) {
-          if (index.PostingCount(c, g) > 0 &&
-              std::binary_search(indexed[r][c].begin(), indexed[r][c].end(),
-                                 g)) {
-            ++surviving_overlap;
-          }
-        }
-      }
-      // The clamp to >= 1 shared surviving gram is the tier's only
-      // escape hatch: pairs whose overlap lives entirely in stop grams
-      // are the documented residual risk.
-      if (best >= opts.jaccard_tau && surviving_overlap > 0) {
-        ASSERT_TRUE(std::binary_search(got.begin(), got.end(),
-                                       static_cast<uint32_t>(r)))
-            << "pair (" << p << ", " << r << ") with Jaccard " << best
-            << " lost under pruning";
-      }
-    }
-  }
-}
-
 // ----------------------------------------------------------- CandidateSet
 
 TEST(CandidateSetTest, PairAtEnumeratesAscendingAndContainsAgrees) {
   const GramTable indexed = RandomGramTable(50, 1, 25, 10, 7);
   const GramTable probes = RandomGramTable(35, 1, 25, 10, 8);
-  QgramIndex index = QgramIndex::Build(50, 1, Accessor(indexed), Unpruned());
+  QgramIndex index =
+      QgramIndex::Build(50, 1, Accessor(indexed), BlockOptions());
   CandidateSet cand =
       block::GenerateCandidates(index, probes.size(), Accessor(probes));
 
   ASSERT_EQ(cand.offsets.size(), probes.size() + 1);
+  ASSERT_GT(cand.num_pairs(), 0u) << "fixture yields no candidates";
   std::pair<size_t, size_t> prev{0, 0};
   for (size_t k = 0; k < cand.num_pairs(); ++k) {
     auto pair = cand.PairAt(k);
@@ -312,7 +129,8 @@ TEST(CandidateSetTest, PairAtEnumeratesAscendingAndContainsAgrees) {
 TEST(CandidateSetTest, GenerateCandidatesIsPoolInvariant) {
   const GramTable indexed = RandomGramTable(90, 2, 35, 12, 17);
   const GramTable probes = RandomGramTable(200, 2, 35, 12, 18);
-  QgramIndex index = QgramIndex::Build(90, 2, Accessor(indexed), Unpruned());
+  QgramIndex index =
+      QgramIndex::Build(90, 2, Accessor(indexed), BlockOptions());
 
   CandidateSet serial =
       block::GenerateCandidates(index, probes.size(), Accessor(probes));
@@ -321,6 +139,66 @@ TEST(CandidateSetTest, GenerateCandidatesIsPoolInvariant) {
                                                   Accessor(probes), &pool);
   EXPECT_EQ(serial.offsets, pooled.offsets);
   EXPECT_EQ(serial.cols, pooled.cols);
+}
+
+// --------------------------------------------------------- EstimateRecall
+
+/// Candidates on the diagonal of an n x n pair space: (i, i) only.
+CandidateSet Diagonal(size_t n) {
+  CandidateSet cand;
+  for (size_t i = 0; i < n; ++i) {
+    cand.offsets.push_back(i);
+    cand.cols.push_back(static_cast<uint32_t>(i));
+  }
+  cand.offsets.push_back(n);
+  return cand;
+}
+
+TEST(EstimateRecallTest, SeesPlantedPrunedMatches) {
+  // 64 x 64 pairs, the 64 diagonal candidates all matches, plus 63
+  // pruned matches (0, j > 0). 2048 draws put ~31 on them among ~2016
+  // pruned draws: the missed share (~1/64 of the 4032 pruned pairs)
+  // scales to ~63 missed matches, so recall ~ 64 / 127.
+  const size_t n = 64;
+  const CandidateSet cand = Diagonal(n);
+  auto is_match = [&](size_t i, size_t j) {
+    EXPECT_FALSE(cand.Contains(i, static_cast<uint32_t>(j)))
+        << "scored a candidate pair";
+    return i == 0;
+  };
+  const block::RecallEstimate est =
+      block::EstimateRecall(cand, n, n, 5, nullptr, is_match);
+  EXPECT_TRUE(est.estimated);
+  EXPECT_GT(est.recall, 0.35);
+  EXPECT_LT(est.recall, 0.65);
+  // A pure function of the seed.
+  EXPECT_EQ(block::EstimateRecall(cand, n, n, 5, nullptr, is_match).recall,
+            est.recall);
+
+  // The same matches labeled elsewhere (the skip set) are not misses.
+  std::unordered_set<uint64_t> skip;
+  for (uint64_t j = 1; j < n; ++j) skip.insert(j);  // flat key 0 * n + j
+  const block::RecallEstimate skipped =
+      block::EstimateRecall(cand, n, n, 5, &skip, is_match);
+  EXPECT_TRUE(skipped.estimated);
+  EXPECT_EQ(skipped.recall, 1.0);
+}
+
+TEST(EstimateRecallTest, NothingPrunedIsExactAndUnsampled) {
+  // Every pair is a candidate: recall is exactly 1.0, not an estimate,
+  // and no pair is scored.
+  CandidateSet all;
+  all.offsets = {0, 3, 6};
+  all.cols = {0, 1, 2, 0, 1, 2};
+  bool scored = false;
+  const block::RecallEstimate est = block::EstimateRecall(
+      all, 3, 2, 5, nullptr, [&](size_t, size_t) {
+        scored = true;
+        return true;
+      });
+  EXPECT_FALSE(est.estimated);
+  EXPECT_EQ(est.recall, 1.0);
+  EXPECT_FALSE(scored);
 }
 
 // --------------------------------------------------- SampleDistinctSorted
